@@ -195,6 +195,13 @@ var (
 	ErrBadIOSBound = errors.New("hios: negative IOS bound")
 )
 
+// ErrBlockTooLarge reports that Optimize met an IOS scheduling block of
+// more than 512 operators, the dynamic program's size limit (a 600-way
+// fan-out is one such block). Match with errors.Is. The graph's shape,
+// not the options, decides it, so Validate never returns it; the HIOS
+// algorithms have no such limit.
+var ErrBlockTooLarge = ios.ErrBlockTooLarge
+
 // multiGPU reports whether the algorithm places operators across
 // devices (and so requires Options.GPUs).
 func (a Algorithm) multiGPU() bool {

@@ -3,6 +3,7 @@ package hios_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -91,6 +92,29 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (hios.Options{GPUs: 2}).Validate(hios.HIOSLP); err != nil {
 		t.Fatalf("valid multi-GPU options rejected: %v", err)
+	}
+}
+
+// An IOS block wider than the dynamic program's 512-operator limit is a
+// documented, errors.Is-matchable failure, not a panic; the multi-GPU
+// algorithms schedule the same graph.
+func TestIOSBlockTooLarge(t *testing.T) {
+	const fanout = 600
+	g := hios.NewGraph(fanout+1, fanout)
+	root := g.AddOp(hios.Op{Name: "root", Time: 1, Util: 0.5})
+	for i := 0; i < fanout; i++ {
+		leaf := g.AddOp(hios.Op{Name: fmt.Sprintf("leaf%d", i), Time: 0.5, Util: 0.05})
+		g.AddEdge(root, leaf, 0.1)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	m := hios.DefaultCostModel(g)
+	if _, err := hios.Optimize(g, m, hios.IOS, hios.Options{}); !errors.Is(err, hios.ErrBlockTooLarge) {
+		t.Fatalf("IOS on a %d-way fan-out: err = %v, want errors.Is(ErrBlockTooLarge)", fanout, err)
+	}
+	if _, err := hios.Optimize(g, m, hios.HIOSLP, hios.Options{GPUs: 2}); err != nil {
+		t.Fatalf("HIOS-LP on the same graph: %v", err)
 	}
 }
 

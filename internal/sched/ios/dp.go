@@ -1,6 +1,7 @@
 package ios
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/shus-lab/hios/internal/cost"
@@ -13,6 +14,10 @@ import (
 // without per-state string allocation. 512 operators per block is far
 // beyond anything the dynamic program could enumerate in practice anyway.
 const maxBlockOps = 8 * 64
+
+// ErrBlockTooLarge reports a scheduling block wider than maxBlockOps
+// operators. Schedule and SolveSequence wrap it with the block size.
+var ErrBlockTooLarge = errors.New("ios: block exceeds the 512-operator limit")
 
 // bitset is a fixed-width set over a block's local operator indices,
 // comparable by value.
@@ -58,7 +63,6 @@ type dpState struct {
 	prev     int32        // done-slab index of the predecessor (-1 for the start)
 	stageOff int32        // stage range: pending arena while pending, done arena after
 	stageLen int32
-	count    int32 // popcount of set
 }
 
 // pending is the storage of one in-flight operator count: the states that
@@ -72,11 +76,20 @@ type dpState struct {
 // the old single-slab layout retained every state ever created, which made
 // a 200-op beam solve touch hundreds of megabytes; the ring keeps the
 // working set to the live window.
+//
+// In beam mode a bucket holds at most Beam states (see solver.transition).
+// Once it has seen more than Beam distinct sets it has overflowed: order
+// then lists every state index ascending by (cost, bitset), maxCost is
+// the cost of its last (largest) state, and an evicted state's slot is
+// reused by the set that displaced it. Before that order is empty and the
+// slab is in insertion order.
 type pending struct {
-	states []dpState
-	arena  []graph.OpID
-	index  []int32
-	filled int
+	states  []dpState
+	arena   []graph.OpID
+	index   []int32
+	filled  int
+	order   []int32
+	maxCost units.Millis
 }
 
 // find returns the bucket index of the state with the given set, or -1.
@@ -93,8 +106,8 @@ func (p *pending) find(hash uint64, set *bitset) int32 {
 	}
 }
 
-// insert records the (already appended) state at bucket index si in the
-// index, growing and rehashing at 3/4 load.
+// insert records the state at bucket index si in the index, growing and
+// rehashing at 3/4 load.
 func (p *pending) insert(si int32) {
 	if (p.filled+1)*4 >= len(p.index)*3 {
 		p.rehash(len(p.index) * 2)
@@ -106,6 +119,37 @@ func (p *pending) insert(si int32) {
 	}
 	p.index[i] = si + 1
 	p.filled++
+}
+
+// remove deletes the state at bucket index si from the index by backward
+// shifting: every later entry of the probe run that may legally move into
+// the hole does, so lookups never need tombstones.
+func (p *pending) remove(si int32) {
+	index := p.index
+	if len(index) == 0 {
+		return // never: the index holds si (lets the compiler drop bounds checks)
+	}
+	mask := uint64(len(index) - 1)
+	i := p.states[si].hash & mask
+	for index[i&mask] != si+1 {
+		i = (i + 1) & mask
+	}
+	for j := i; ; {
+		j = (j + 1) & mask
+		e := index[j&mask]
+		if e == 0 {
+			break
+		}
+		// The entry at j may fill the hole at i unless its home position
+		// lies cyclically in (i, j].
+		if h := p.states[e-1].hash & mask; (j-h)&mask < (j-i)&mask {
+			continue
+		}
+		index[i&mask] = e
+		i = j
+	}
+	index[i&mask] = 0
+	p.filled--
 }
 
 func (p *pending) rehash(capacity int) {
@@ -130,21 +174,59 @@ func (p *pending) rehash(capacity int) {
 func (p *pending) recycle() {
 	p.states = p.states[:0]
 	p.arena = p.arena[:0]
+	p.order = p.order[:0]
 	p.filled = 0
 	clear(p.index)
 }
 
-// stateLess orders two bucket states by (cost, bitset): the beam
-// selection's total order. Distinct states have distinct bitsets, so the
-// order is strict and the selected set is unique.
-func (p *pending) stateLess(a, b int32) bool {
-	x, y := &p.states[a], &p.states[b]
+// keyLess orders a (cost, set) key before state o under (cost, bitset):
+// the beam's total order. Distinct states have distinct bitsets, so the
+// order is strict and the kept set is unique.
+func keyLess(cost units.Millis, set *bitset, o *dpState) bool {
 	// Exact IEEE inequality keeps this tie-break a strict weak order; an
 	// epsilon compare would not.
-	if x.cost != y.cost { //lint:floatexact comparator tie-break: epsilon would break the strict weak order
-		return x.cost < y.cost
+	if cost != o.cost { //lint:floatexact comparator tie-break: epsilon would break the strict weak order
+		return cost < o.cost
 	}
-	return less(x.set, y.set)
+	return less(set, &o.set)
+}
+
+// overflow builds order for a bucket holding exactly Beam states, the
+// first time a further distinct set arrives: an insertion sort of the
+// slab, run once per overflowing bucket.
+func (p *pending) overflow() {
+	for si := range p.states {
+		p.order = append(p.order, int32(si))
+		p.promote(len(p.order) - 1)
+	}
+}
+
+// promote restores the ascending order after the state at order position
+// k lowered its key (an in-place improvement, or a fresh set reusing the
+// evicted maximum's slot at the last position) by moving it forward, and
+// refreshes maxCost.
+func (p *pending) promote(k int) {
+	order, states := p.order, p.states
+	si := order[k]
+	st := &states[si]
+	for ; k > 0; k-- {
+		prev := order[k-1]
+		if !keyLess(st.cost, &st.set, &states[prev]) {
+			break
+		}
+		order[k], order[k-1] = prev, si
+	}
+	p.maxCost = states[order[len(order)-1]].cost
+}
+
+// position returns where state si sits in order.
+func (p *pending) position(si int32) int {
+	for k := len(p.order) - 1; k > 0; k-- {
+		if p.order[k] == si {
+			return k
+		}
+	}
+	return 0
 }
 
 // solver holds every scratch structure of the block dynamic program so one
@@ -163,7 +245,6 @@ type solver struct {
 	front  []int          // frontier scratch
 	stage  []int          // current candidate stage (local indices)
 	probe  []graph.OpID   // candidate stage as graph IDs (generic path)
-	keep   []int32        // beam selection scratch
 	succs  [][]int        // local successor lists (chain bounds)
 	tails  []units.Millis // longest remaining dependency chain per local op
 	keyBuf []byte         // dpcache signature scratch (cache.go)
@@ -176,17 +257,22 @@ type solver struct {
 	fast     bool            // m implements cost.ItemModel
 	maxStage int
 	window   int
+	beam     int // per-count state bound; 0 in exact mode
 
 	// DFS-incremental candidate state: nset/nhash track curSet plus the
 	// members of s.stage; cur* are the expanding state's fields, copied
 	// out of the bucket so methods never hold pointers into growable
 	// slabs.
-	nset     bitset
-	nhash    uint64
-	curCost  units.Millis
-	curWork  units.Millis
-	curDone  int32
-	curCount int32
+	nset    bitset
+	nhash   uint64
+	curCost units.Millis
+	curWork units.Millis
+	curDone int32
+	curSlot int // ring slot of the expanding state's count
+
+	// peak is the largest bucket population expanded since reset; tests
+	// hold it to the beam.
+	peak int
 
 	// Incumbent pruning (fast path only; see solveBlock).
 	prune     bool         // incumbent threshold active
@@ -230,6 +316,7 @@ func (s *solver) reset(n, b int, opt Options) {
 		pd := &s.ring[i]
 		pd.states = pd.states[:0]
 		pd.arena = pd.arena[:0]
+		pd.order = pd.order[:0]
 		pd.filled = 0
 		if cap(pd.index) < initialIndex {
 			pd.index = make([]int32, initialIndex)
@@ -245,6 +332,7 @@ func (s *solver) reset(n, b int, opt Options) {
 	s.exactLB = false
 	s.haveTails = false
 	s.didPrune = false
+	s.peak = 0
 }
 
 // growNested resizes a slice of slices, keeping the inner backing arrays
@@ -263,31 +351,55 @@ func growNested[T any](buf [][]T, n int) [][]T {
 // The target state's set and hash are already in nset/nhash (maintained by
 // the enumeration DFS); stageWork is the stage's Σ t·u (fast path; 0 on
 // the generic path, which never reads work).
+//
+// In beam mode the target bucket keeps only the Beam smallest states under
+// (cost, bitset) — exactly the states a sort-and-trim of the unbounded
+// bucket would keep, with the same records. The bucket's Beam-th key never
+// rises as candidates arrive (costs only fall, sets only join), so a state
+// outside the top Beam can never re-enter with its old record: once the
+// bucket has overflowed, a candidate costing more than the current
+// maximum is dropped without a lookup, a new set below the maximum evicts
+// it, and a present set improves in place under the strict < the
+// unbounded DP uses.
 func (s *solver) transition(t, stageWork units.Millis) {
 	ncost := s.curCost + t
-	ncount := s.curCount + int32(len(s.stage))
-	pd := &s.ring[int(ncount)%len(s.ring)]
+	slot := s.curSlot + len(s.stage)
+	if slot >= len(s.ring) {
+		slot -= len(s.ring)
+	}
+	pd := &s.ring[slot]
+	if len(pd.order) > 0 && ncost > pd.maxCost {
+		return
+	}
 	if oi := pd.find(s.nhash, &s.nset); oi >= 0 {
 		old := &pd.states[oi]
 		if ncost < old.cost {
 			old.cost = ncost
 			old.work = s.curWork + stageWork
 			old.prev = s.curDone
-			// Stage-slice interning: overwrite the state's arena range in
-			// place when the improved stage fits (ranges are exclusive per
-			// state), append a fresh range only when it grew.
-			if int32(len(s.stage)) <= old.stageLen {
-				for k, li := range s.stage {
-					pd.arena[int(old.stageOff)+k] = s.block[li]
-				}
-			} else {
-				old.stageOff = int32(len(pd.arena))
-				for _, li := range s.stage {
-					pd.arena = append(pd.arena, s.block[li])
-				}
+			s.storeStage(pd, old)
+			if len(pd.order) > 0 {
+				pd.promote(pd.position(oi))
 			}
-			old.stageLen = int32(len(s.stage))
 		}
+		return
+	}
+	if s.beam > 0 && len(pd.states) == s.beam {
+		if len(pd.order) == 0 {
+			pd.overflow()
+		}
+		last := len(pd.order) - 1
+		mi := pd.order[last]
+		st := &pd.states[mi]
+		if !keyLess(ncost, &s.nset, st) {
+			return
+		}
+		pd.remove(mi)
+		st.set, st.hash, st.cost = s.nset, s.nhash, ncost
+		st.work, st.prev = s.curWork+stageWork, s.curDone
+		s.storeStage(pd, st)
+		pd.insert(mi)
+		pd.promote(last)
 		return
 	}
 	off := int32(len(pd.arena))
@@ -302,9 +414,25 @@ func (s *solver) transition(t, stageWork units.Millis) {
 		prev:     s.curDone,
 		stageOff: off,
 		stageLen: int32(len(s.stage)),
-		count:    ncount,
 	})
 	pd.insert(int32(len(pd.states) - 1))
+}
+
+// storeStage interns s.stage as st's stage: it overwrites st's arena range
+// in place when the stage fits (ranges are exclusive per state) and
+// appends a fresh range only when it grew.
+func (s *solver) storeStage(pd *pending, st *dpState) {
+	if int32(len(s.stage)) <= st.stageLen {
+		for k, li := range s.stage {
+			pd.arena[int(st.stageOff)+k] = s.block[li]
+		}
+	} else {
+		st.stageOff = int32(len(pd.arena))
+		for _, li := range s.stage {
+			pd.arena = append(pd.arena, s.block[li])
+		}
+	}
+	st.stageLen = int32(len(s.stage))
 }
 
 // enumFast visits every non-empty subset of fr[i:] extending the current
@@ -375,7 +503,7 @@ func (s *solver) dive(b, width int) (units.Millis, bool) {
 	var set bitset
 	var total units.Millis
 	for scheduled := 0; scheduled < b; {
-		s.front = frontierOf(set, s.preds[:b], b, s.front[:0])
+		s.front = frontierOf(&set, s.preds[:b], b, s.front[:0])
 		if len(s.front) == 0 {
 			return 0, false
 		}
@@ -472,52 +600,6 @@ func (s *solver) lowerBound(stWork units.Millis) units.Millis {
 	return lb
 }
 
-// selectBeam picks the beam cheapest states of the bucket under the
-// (cost, bitset) total order and returns their indices in ascending
-// order — exactly the prefix a full sort-and-trim would keep, found with
-// a bounded max-heap in O(n log beam) instead of sorting the whole
-// bucket.
-func (s *solver) selectBeam(pd *pending, beam int) []int32 {
-	s.keep = s.keep[:0]
-	for i := 0; i < beam; i++ {
-		s.keep = append(s.keep, int32(i))
-	}
-	for i := beam/2 - 1; i >= 0; i-- {
-		siftDown(pd, s.keep, i)
-	}
-	for i := beam; i < len(pd.states); i++ {
-		if pd.stateLess(int32(i), s.keep[0]) {
-			s.keep[0] = int32(i)
-			siftDown(pd, s.keep, 0)
-		}
-	}
-	for n := len(s.keep) - 1; n > 0; n-- {
-		s.keep[0], s.keep[n] = s.keep[n], s.keep[0]
-		siftDown(pd, s.keep[:n], 0)
-	}
-	return s.keep
-}
-
-// siftDown restores the max-heap property (largest kept state on top,
-// under pending.stateLess) at position i of h.
-func siftDown(pd *pending, h []int32, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		j := l
-		if r := l + 1; r < len(h) && pd.stateLess(h[l], h[r]) {
-			j = r
-		}
-		if !pd.stateLess(h[i], h[j]) {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
 // solveBlock runs the IOS dynamic program on one block and returns the
 // optimal (or beam-pruned) stage decomposition in execution order. The
 // returned stage slices are freshly allocated (the solver's storage is
@@ -546,7 +628,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 		return [][]graph.OpID{{block[0]}}, nil
 	}
 	if b > maxBlockOps {
-		return nil, fmt.Errorf("ios: block of %d operators exceeds the %d-operator limit", b, maxBlockOps)
+		return nil, fmt.Errorf("%w: block of %d operators", ErrBlockTooLarge, b)
 	}
 	s.reset(g.NumOps(), b, opt)
 	s.block, s.m = block, m
@@ -578,6 +660,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	if b <= opt.ExactLimit {
 		beam = 0 // exact within small blocks
 	}
+	s.beam = beam
 
 	im, fast := m.(cost.ItemModel)
 	s.fast = fast
@@ -627,18 +710,19 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	}
 	s.stage = s.stage[:0]
 
-	for c := 0; c < b; c++ {
-		pd := &s.ring[c%len(s.ring)]
-		var kept []int32
+	// A beam bucket that overflowed is expanded in (cost, bitset) order —
+	// the order a sort-and-trim leaves — and any other bucket in insertion
+	// order. Expanding an overflowed bucket in slab order instead keeps
+	// the same states but changes which of several equal-cost paths each
+	// successor records first, and so changes schedules.
+	for c, slot := 0, 0; c < b; c++ {
+		pd := &s.ring[slot]
 		n := len(pd.states)
-		if beam > 0 && n > beam {
-			kept = s.selectBeam(pd, beam)
-			n = len(kept)
-		}
+		s.peak = max(s.peak, n)
 		for k := 0; k < n; k++ {
 			si := int32(k)
-			if kept != nil {
-				si = kept[k]
+			if len(pd.order) > 0 {
+				si = pd.order[k]
 			}
 			st := &pd.states[si]
 			if s.prune && st.cost > s.thr {
@@ -647,7 +731,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 				s.didPrune = true
 				continue
 			}
-			s.front = frontierOf(st.set, s.preds[:b], b, s.front[:0])
+			s.front = frontierOf(&st.set, s.preds[:b], b, s.front[:0])
 			if len(s.front) == 0 {
 				return nil, fmt.Errorf("ios: empty frontier with %d/%d scheduled (cyclic block?)", c, b)
 			}
@@ -664,7 +748,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			ds.stageOff = doneOff
 			s.done = append(s.done, ds)
 
-			s.curCost, s.curWork, s.curDone, s.curCount = st.cost, st.work, di, int32(c)
+			s.curCost, s.curWork, s.curDone, s.curSlot = st.cost, st.work, di, slot
 			s.nset = st.set
 			s.nhash = st.hash
 			fr := s.front
@@ -678,6 +762,9 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			}
 		}
 		pd.recycle()
+		if slot++; slot == len(s.ring) {
+			slot = 0
+		}
 	}
 
 	var full bitset
@@ -730,7 +817,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	return out, nil
 }
 
-func less(a, b bitset) bool {
+func less(a, b *bitset) bool {
 	for i := 0; i < len(a); i++ {
 		if a[i] != b[i] {
 			return a[i] < b[i]
@@ -742,7 +829,7 @@ func less(a, b bitset) bool {
 // frontierOf appends to out the local indices whose intra-block
 // predecessors are all members of set and which are not members
 // themselves, in block (descending-priority) order.
-func frontierOf(set bitset, preds [][]int, b int, out []int) []int {
+func frontierOf(set *bitset, preds [][]int, b int, out []int) []int {
 	for i := 0; i < b; i++ {
 		if set.has(i) {
 			continue

@@ -41,6 +41,11 @@ import (
 )
 
 // Options configures the IOS dynamic program.
+//
+// Whatever the options, one block (see Blocks) may hold at most 512
+// operators: wider blocks fail with an error matching ErrBlockTooLarge.
+// A graph reaches the limit only when more than 512 operators sit between
+// two consecutive separators, such as a 600-way fan-out.
 type Options struct {
 	// MaxStage bounds the number of operators per stage (the paper's
 	// max number of concurrent CUDA streams). Zero means 8.
