@@ -202,6 +202,11 @@ var (
 // algorithms have no such limit.
 var ErrBlockTooLarge = ios.ErrBlockTooLarge
 
+// ErrNilInput reports a nil graph or cost model passed to Optimize, or
+// a nil or graph-less net passed to CachedCostModel. Match with
+// errors.Is.
+var ErrNilInput = errors.New("hios: nil input")
+
 // multiGPU reports whether the algorithm places operators across
 // devices (and so requires Options.GPUs).
 func (a Algorithm) multiGPU() bool {
@@ -239,10 +244,14 @@ func (o Options) Validate(algo Algorithm) error {
 
 // Optimize runs the selected scheduling algorithm on g under cost model
 // m and returns the optimized schedule with its predicted latency. The
-// options are checked with opt.Validate(algo) first.
+// options are checked with opt.Validate(algo) first; a nil g or m fails
+// with ErrNilInput.
 func Optimize(g *Graph, m CostModel, algo Algorithm, opt Options) (Result, error) {
 	if err := opt.Validate(algo); err != nil {
 		return Result{}, err
+	}
+	if g == nil || m == nil {
+		return Result{}, fmt.Errorf("%w: Optimize needs a graph and a cost model", ErrNilInput)
 	}
 	switch algo {
 	case Sequential:
@@ -360,13 +369,17 @@ func SharedBlockCacheStats() BlockCacheStats { return dpcache.Shared().Stats() }
 // depend on the cache's state — only cold-path timings do.
 func ResetSharedBlockCache() { dpcache.Shared().Reset() }
 
-// CachedCostModel prices a built net straight from its per-operator
-// kernel shapes through the shared kernel-signature cache, with the
-// calibrated contention model. It is bit-identical to DefaultCostModel
-// on the net's graph — the graph weights are those same cached values —
-// but shares every probe with all other nets in the process.
+// CachedCostModel returns the cost model of a built net priced through
+// the shared kernel-signature cache, with the calibrated contention
+// model. The builder baked those cached values into the net's graph, so
+// this is DefaultCostModel(n.G): it shares DefaultCostModel's IOS fast
+// path and block-cache entries. A nil net or a net without a graph fails
+// with ErrNilInput.
 func CachedCostModel(n *Net) (CostModel, error) {
-	return n.CachedModel(cost.DefaultContention())
+	if n == nil || n.G == nil {
+		return nil, fmt.Errorf("%w: CachedCostModel needs a built net", ErrNilInput)
+	}
+	return n.CachedModel(cost.DefaultContention()), nil
 }
 
 // Evaluate computes the timing of a complete schedule under the paper's

@@ -118,6 +118,86 @@ func TestIOSBlockTooLarge(t *testing.T) {
 	}
 }
 
+func TestNilInput(t *testing.T) {
+	g, m := quickGraph(t)
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"Optimize nil graph", func() error {
+			_, err := hios.Optimize(nil, m, hios.IOS, hios.Options{})
+			return err
+		}},
+		{"Optimize nil cost model", func() error {
+			_, err := hios.Optimize(g, nil, hios.HIOSLP, hios.Options{GPUs: 2})
+			return err
+		}},
+		{"CachedCostModel nil net", func() error {
+			_, err := hios.CachedCostModel(nil)
+			return err
+		}},
+		{"CachedCostModel net without graph", func() error {
+			_, err := hios.CachedCostModel(&hios.Net{Name: "empty"})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		if err := c.call(); !errors.Is(err, hios.ErrNilInput) {
+			t.Errorf("%s: err = %v, want errors.Is(ErrNilInput)", c.name, err)
+		}
+	}
+}
+
+// TestCachedCostModelMatchesDefault: CachedCostModel is the net's baked
+// weights, so every algorithm exports the same schedule under it as under
+// DefaultCostModel, and an IOS solve under it replays the block-cache
+// entries a DefaultCostModel solve stored.
+func TestCachedCostModelMatchesDefault(t *testing.T) {
+	p := hios.ClusterPresets()[0].Platform
+	rw, err := hios.RandWireNet(p, hios.DefaultRandWire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := []*hios.Net{
+		hios.InceptionV3(p, 299),
+		hios.NASNetA(p, 331),
+		hios.SqueezeNet(p, 224),
+		hios.ResNet50(p, 224),
+		rw,
+	}
+	for _, net := range nets {
+		cm, err := hios.CachedCostModel(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm := hios.DefaultCostModel(net.G)
+		for _, a := range hios.Algorithms() {
+			var out [2][]byte
+			for i, m := range []hios.CostModel{dm, cm} {
+				res, err := hios.Optimize(net.G, m, a, hios.Options{GPUs: 2})
+				if err != nil {
+					t.Fatalf("%s %s: %v", net.Name, a, err)
+				}
+				if out[i], err = hios.ExportJSON(net.G, res.Schedule, net.Name, a, res.Latency); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out[0], out[1]) {
+				t.Fatalf("%s %s: CachedCostModel export differs from DefaultCostModel", net.Name, a)
+			}
+		}
+		before := hios.SharedBlockCacheStats()
+		if _, err := hios.Optimize(net.G, cm, hios.IOS, hios.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		after := hios.SharedBlockCacheStats()
+		if after.Hits <= before.Hits || after.Misses != before.Misses {
+			t.Fatalf("%s: warm IOS under CachedCostModel: hits %d -> %d, misses %d -> %d; want more hits, no misses",
+				net.Name, before.Hits, after.Hits, before.Misses, after.Misses)
+		}
+	}
+}
+
 func TestWriteTraceFacades(t *testing.T) {
 	g, m := quickGraph(t)
 	res, err := hios.Optimize(g, m, hios.HIOSLP, hios.Options{GPUs: 2})

@@ -62,9 +62,7 @@ type Item struct {
 // Only models that are pure functions of their items may implement this.
 // profile.CostTable and FrozenModel deliberately do NOT: their StageTime
 // carries probe accounting (the Fig. 14 profiling-cost experiment), and
-// a fast path that skipped StageTime would corrupt the counts. The same
-// goes for costcache.KernelModel, whose probes feed the shared kernel
-// cache statistics.
+// a fast path that skipped StageTime would corrupt the counts.
 type ItemModel interface {
 	Model
 	// Contention returns the stage pricing the model folds items with.

@@ -12,6 +12,12 @@
 // sweep point — are priced once per process rather than once per probe
 // site.
 //
+// The cache prices at build time and in the Fig. 1/Fig. 2 probes, never
+// inside a scheduler: model.Builder bakes the cached kernel and transfer
+// values into the graph's weights, and a net's cached pricing
+// (Net.CachedModel) is cost.FromGraph over those weights, which reads
+// slices instead of taking a lock per probe.
+//
 // The cache sits BELOW profile.CostTable and is invisible to it: a
 // CostTable keeps its own per-table maps and probe counters, so the
 // Fig. 14 profiling-cost accounting (how many distinct probes an

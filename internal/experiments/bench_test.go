@@ -149,6 +149,28 @@ func BenchmarkSchedulerIOSNASNet(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerIOSNASNetCached runs IOS on NASNet-A under the net's
+// cached pricing (Net.CachedModel), with the block cache warmed by one
+// DefaultCostModel solve: the two models price the same baked weights,
+// so every iteration replays the warmed blocks.
+func BenchmarkSchedulerIOSNASNetCached(b *testing.B) {
+	net, err := BuildBenchmark(NASNet, benchPlatform(), 331)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := Run(AlgoIOS, net.G, cost.FromGraph(net.G, cost.DefaultContention()), RunConfig{}); err != nil {
+		b.Fatal(err)
+	}
+	m := net.CachedModel(cost.DefaultContention())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(AlgoIOS, net.G, m, RunConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchPlatform() gpu.Platform { return gpu.DualA40() }
 
 // Sweep benchmarks: the end-to-end statistical drivers the parallel pool

@@ -111,10 +111,7 @@ func fleetProfiles(opt FleetSweepOptions) ([]cluster.Profile, error) {
 	var profs []cluster.Profile
 	for _, p := range cluster.Presets() {
 		net := model.SqueezeNet(p.Platform.Dev, p.Platform.Link, opt.InputSize)
-		cm, err := net.CachedModel(cost.DefaultContention())
-		if err != nil {
-			return nil, fmt.Errorf("AttainmentVsFleet: %s: %w", p.Key, err)
-		}
+		cm := net.CachedModel(cost.DefaultContention())
 		res, err := Run(AlgoHIOSLP, net.G, cm, RunConfig{GPUs: opt.GPUs, Window: opt.Window})
 		if err != nil {
 			return nil, fmt.Errorf("AttainmentVsFleet: %s: %w", p.Key, err)

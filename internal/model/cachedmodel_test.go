@@ -3,62 +3,61 @@ package model
 import (
 	"testing"
 
-	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/graph"
+	"github.com/shus-lab/hios/internal/units"
 )
 
-// TestCachedModelMatchesGraphModel pins the interchangeability claim of
-// Net.CachedModel: pricing a built net straight from its kernel shapes
-// through the shared cache must be bit-identical to cost.FromGraph over
-// the baked weights — for t(v), t(u,v) and t(S) alike — because the
-// weights ARE the cached values.
-func TestCachedModelMatchesGraphModel(t *testing.T) {
-	net := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
-	ct := cost.DefaultContention()
-	gm := cost.FromGraph(net.G, ct)
-	km, err := net.CachedModel(ct)
+// zooNets builds the five zoo networks on one platform at their default
+// input sizes.
+func zooNets(t *testing.T, p gpu.Platform) []*Net {
+	t.Helper()
+	rw, err := RandWire(p.Dev, p.Link, DefaultRandWire())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return []*Net{
+		InceptionV3(p.Dev, p.Link, 299),
+		NASNet(p.Dev, p.Link, 331),
+		SqueezeNet(p.Dev, p.Link, 224),
+		ResNet50(p.Dev, p.Link, 224),
+		rw,
+	}
+}
 
-	n := net.G.NumOps()
-	for v := 0; v < n; v++ {
-		id := graph.OpID(v)
-		if got, want := km.OpTime(id), gm.OpTime(id); got != want { //lint:floatexact
-			t.Fatalf("OpTime(%d): cached %v, graph %v", v, got, want)
-		}
-	}
-	edges := 0
-	for v := 0; v < n && edges < 500; v++ {
-		id := graph.OpID(v)
-		net.G.Succs(id, func(u graph.OpID, _ float64) {
-			edges++
-			if got, want := km.CommTime(id, u), gm.CommTime(id, u); got != want { //lint:floatexact
-				t.Fatalf("CommTime(%d,%d): cached %v, graph %v", id, u, got, want)
+// TestBakedWeightsMatchUncachedPricing pins what makes Net.CachedModel a
+// plain cost.FromGraph: the weights the builder bakes through the shared
+// shape cache are, bit for bit, the uncached device and link models of
+// the net's own kernels and output shapes — for every zoo network on
+// every fleet platform.
+func TestBakedWeightsMatchUncachedPricing(t *testing.T) {
+	for _, p := range []gpu.Platform{gpu.DualA40(), gpu.DualA5500(), gpu.DualV100S()} {
+		for _, net := range zooNets(t, p) {
+			if len(net.Kernels) != net.G.NumOps() || len(net.Shapes) != net.G.NumOps() {
+				t.Fatalf("%s on %s: %d kernels / %d shapes for %d ops",
+					net.Name, p.Name, len(net.Kernels), len(net.Shapes), net.G.NumOps())
 			}
-		})
-	}
-	if edges == 0 {
-		t.Fatal("no edges visited")
-	}
-	// Stages assembled from stride-spaced operators, spanning widths
-	// either side of the signatures' inline capacity. These are not
-	// semantically valid concurrent stages — StageTime is a pure
-	// function of the member list, which is all that matters here.
-	var ops []graph.OpID
-	for width := 1; width <= 11; width++ {
-		ops = ops[:0]
-		for i := 0; i < width; i++ {
-			ops = append(ops, graph.OpID((i*17+width)%n))
+			for v, op := range net.G.Ops() {
+				k := net.Kernels[v]
+				if want := float64(p.Dev.Time(k)); op.Time != want { //lint:floatexact
+					t.Fatalf("%s on %s: op %d time %v, device %v", net.Name, p.Name, v, op.Time, want)
+				}
+				if want := p.Dev.Utilization(k); op.Util != want { //lint:floatexact
+					t.Fatalf("%s on %s: op %d util %v, device %v", net.Name, p.Name, v, op.Util, want)
+				}
+			}
+			edges := net.G.Edges()
+			if len(edges) == 0 {
+				t.Fatalf("%s on %s: no edges", net.Name, p.Name)
+			}
+			for _, e := range edges {
+				want := float64(p.Link.TransferTime(units.Bytes(net.Shapes[e.From].Bytes())))
+				if e.Time != want { //lint:floatexact
+					t.Fatalf("%s on %s: edge %d->%d transfer %v, link %v",
+						net.Name, p.Name, e.From, e.To, e.Time, want)
+				}
+			}
 		}
-		if got, want := km.StageTime(ops), gm.StageTime(ops); got != want { //lint:floatexact
-			t.Fatalf("StageTime(width %d): cached %v, graph %v", width, got, want)
-		}
-	}
-	// CommTime of a non-edge is zero on both sides.
-	if got := km.CommTime(graph.OpID(0), graph.OpID(0)); got != 0 { //lint:floatexact
-		t.Fatalf("CommTime of non-edge: %v", got)
 	}
 }
 

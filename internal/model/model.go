@@ -236,17 +236,14 @@ func (b *Builder) Build() (*Net, error) {
 	return &Net{Name: b.name, G: b.g, Shapes: b.shapes, Kernels: b.kernels, Dev: b.dev, Link: b.link}, nil
 }
 
-// CachedModel returns a cost.Model pricing the net straight from its
-// kernel shapes through the process-wide shape cache. It is bit-identical
-// to cost.FromGraph(n.G, ct) for any ct matching the build configuration
-// — the graph weights ARE the cached values — but shares every probe
-// with other nets in the process.
-func (n *Net) CachedModel(ct cost.Contention) (cost.Model, error) {
-	out := make([]units.Bytes, len(n.Shapes))
-	for i, sh := range n.Shapes {
-		out[i] = units.Bytes(sh.Bytes())
-	}
-	return costcache.NewKernelModel(costcache.Shared(), n.G, n.Dev, n.Link, n.Kernels, out, ct)
+// CachedModel returns the cost model of the net's cached pricing. The
+// builder prices every operator and transfer through the process-wide
+// shape cache and bakes exactly those values into the graph, which has
+// no setters after Finalize, so the model is cost.FromGraph over the
+// baked weights: a cost.ItemModel, which the IOS dynamic program prunes
+// and memoizes, with no cache lookup per probe.
+func (n *Net) CachedModel(ct cost.Contention) *cost.GraphModel {
+	return cost.FromGraph(n.G, ct)
 }
 
 // MustBuild is Build that panics on error; architecture builders are

@@ -114,6 +114,9 @@ func Unroll(g *graph.Graph, s *sched.Schedule, k int) (*graph.Graph, *sched.Sche
 type shiftModel struct {
 	inner cost.Model
 	n     int
+	// mapped is StageTime's scratch: a shiftModel serves one Analyze
+	// call, whose evaluation probes it from one goroutine.
+	mapped []graph.OpID
 }
 
 var (
@@ -136,9 +139,9 @@ func (m *shiftModel) CommTimeBetween(u, v graph.OpID, gu, gv int) units.Millis {
 }
 
 func (m *shiftModel) StageTime(ops []graph.OpID) units.Millis {
-	mapped := make([]graph.OpID, len(ops))
-	for i, v := range ops {
-		mapped[i] = m.orig(v)
+	m.mapped = m.mapped[:0]
+	for _, v := range ops {
+		m.mapped = append(m.mapped, m.orig(v))
 	}
-	return m.inner.StageTime(mapped)
+	return m.inner.StageTime(m.mapped)
 }

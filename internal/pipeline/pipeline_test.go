@@ -158,3 +158,20 @@ func TestUnrollShape(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShiftModelStageTimeAllocFree: stage probes of the unrolled model
+// reuse one scratch slice instead of allocating per call.
+func TestShiftModelStageTimeAllocFree(t *testing.T) {
+	cfg := randdag.Paper()
+	cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 40, 5, 80, 3
+	g := randdag.MustGenerate(cfg)
+	m := &shiftModel{inner: cost.FromGraph(g, cost.DefaultContention()), n: g.NumOps()}
+	ops := []graph.OpID{1, 45, 90, 123}
+	want := m.inner.StageTime([]graph.OpID{1, 5, 10, 3})
+	if got := m.StageTime(ops); got != want { //lint:floatexact
+		t.Fatalf("StageTime = %v, want %v", got, want)
+	}
+	if a := testing.AllocsPerRun(100, func() { m.StageTime(ops) }); a != 0 {
+		t.Fatalf("StageTime allocates %v times per call, want 0", a)
+	}
+}
