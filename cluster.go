@@ -116,7 +116,7 @@ func ClusterPresets() []ClusterPreset { return cluster.Presets() }
 // schedule computed with one platform's cost model — into that
 // platform's cluster serving profile.
 func ClusterProfileOf(platform string, m ServeModel) ClusterProfile {
-	return cluster.ProfileOf(platform, m)
+	return serve.ProfileOf(platform, m)
 }
 
 // ClusterServe runs one fleet-scale serving simulation: seeded

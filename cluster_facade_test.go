@@ -92,6 +92,23 @@ func TestClusterFacadeErrors(t *testing.T) {
 	}
 }
 
+// TestClusterAutoscalerFilledBounds rejects autoscaler options whose
+// set field crosses the default of its unset partner: a MinReplicas
+// above the default MaxReplicas, and a LowDepth above the default
+// HighDepth (an inverted hysteresis band).
+func TestClusterAutoscalerFilledBounds(t *testing.T) {
+	for _, a := range []hios.AutoscalerOptions{
+		{Enabled: true, MinReplicas: 10},
+		{Enabled: true, LowDepth: 5},
+	} {
+		opt := clusterOptions()
+		opt.Autoscaler = a
+		if _, err := hios.ClusterServe(opt); !errors.Is(err, hios.ErrClusterBadAutoscaler) {
+			t.Errorf("%+v: ClusterServe err = %v, want errors.Is %v", a, err, hios.ErrClusterBadAutoscaler)
+		}
+	}
+}
+
 func TestRouterPoliciesFacade(t *testing.T) {
 	ps := hios.RouterPolicies()
 	if len(ps) != 4 || ps[0] != hios.RouterLeastLoad || ps[3] != hios.RouterRandom {

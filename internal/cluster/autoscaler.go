@@ -84,7 +84,9 @@ func (a *AutoscalerOptions) fill() {
 }
 
 // Validate reports inconsistent autoscaler options. The disabled zero
-// value is always valid; zero fields with documented defaults are valid.
+// value is always valid; zero fields with documented defaults are valid,
+// provided the defaults they select keep LowDepth <= HighDepth and
+// MinReplicas <= MaxReplicas.
 func (a AutoscalerOptions) Validate() error {
 	if !a.Enabled {
 		return nil
@@ -98,16 +100,19 @@ func (a AutoscalerOptions) Validate() error {
 	if a.HighDepth < 0 || a.LowDepth < 0 {
 		return fmt.Errorf("%w: negative depth threshold", ErrBadAutoscaler)
 	}
-	if a.HighDepth > 0 && a.LowDepth > a.HighDepth {
-		return fmt.Errorf("%w: low-depth %g above high-depth %g", ErrBadAutoscaler, a.LowDepth, a.HighDepth)
-	}
 	if a.AttainmentFloor < 0 || a.AttainmentFloor > 1 {
 		return fmt.Errorf("%w: attainment floor %g outside [0, 1]", ErrBadAutoscaler, a.AttainmentFloor)
 	}
 	if a.MinReplicas < 0 || a.MaxReplicas < 0 {
 		return fmt.Errorf("%w: negative replica bound", ErrBadAutoscaler)
 	}
-	if a.MinReplicas > 0 && a.MaxReplicas > 0 && a.MinReplicas > a.MaxReplicas {
+	// The orderings hold between the filled values: one set field may
+	// cross the default of its unset partner.
+	a.fill()
+	if a.LowDepth > a.HighDepth {
+		return fmt.Errorf("%w: low-depth %g above high-depth %g", ErrBadAutoscaler, a.LowDepth, a.HighDepth)
+	}
+	if a.MinReplicas > a.MaxReplicas {
 		return fmt.Errorf("%w: min replicas %d above max %d", ErrBadAutoscaler, a.MinReplicas, a.MaxReplicas)
 	}
 	return nil

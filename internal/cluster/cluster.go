@@ -3,22 +3,24 @@
 // heterogeneous GPU nodes serving deadline-aware multi-tenant traffic
 // behind one gateway.
 //
-// internal/serve answers the single-node question — one deployment of
-// identical replicas, one dispatch queue. A production cluster answers
-// three more (the aibrix / kthena architecture split): which node should
-// a request run on (the *router*), how many replicas should each node
-// hold (the *autoscaler*), and which requests should never be admitted
-// at all (gateway *admission control*). This package models exactly
-// those three components over a fleet of nodes built from the paper's
+// A single node answers one question — one deployment of identical
+// replicas, one dispatch queue. A production cluster answers three more
+// (the aibrix / kthena architecture split): which node should a request
+// run on (the *router*), how many replicas should each node hold (the
+// *autoscaler*), and which requests should never be admitted at all
+// (gateway *admission control*). This package models exactly those
+// three components over a fleet of nodes built from the paper's
 // platform presets (A40, A5500, V100S) — the same model is scheduled by
 // HIOS-LP/MR per platform, so a V100S node serves the same deployment
 // with a different latency/period profile than an A40 node, and the
-// router's cost/latency tradeoff is real.
+// router's cost/latency tradeoff is real. Its event engine is the only
+// one in the module: internal/serve runs it as a one-node cluster
+// (Simulate).
 //
 // The simulator obeys the repository's determinism contract (DESIGN.md
 // §7, §9, §14): no wall clock, no global RNG; arrivals draw from
 // rand.Rand streams seeded via stats.MixSeed, events are totally ordered
-// by (time, sequence) on the serve.EventHeap, and every report slice is
+// by (time, sequence) on the des.EventHeap, and every report slice is
 // emitted in deterministic order — the same Options always render a
 // byte-identical Report.
 package cluster
@@ -26,16 +28,56 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/shus-lab/hios/internal/gpu"
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/units"
 )
 
-// Tenant is one request class sharing the cluster: an arrival process
-// plus a relative deadline. Identical to the single-node serving layer's
-// tenant; Model indexes Options.Deployments.
-type Tenant = serve.Tenant
+// Tenant is one request class sharing the deployment: an arrival
+// process plus a relative deadline (the tenant's SLO). Exactly one of
+// Rate (open-loop) and Clients (closed-loop) must be positive.
+type Tenant struct {
+	// Name labels the tenant in reports.
+	Name string
+	// Model indexes the deployed models (Options.Deployments here,
+	// serve.Options.Models on a single node): the deployment this
+	// tenant's requests run on.
+	Model int
+	// Deadline is the relative deadline of every request: a request
+	// arriving at t meets its SLO iff it completes by t + Deadline.
+	Deadline units.Millis
+	// Rate, when positive, makes the tenant open-loop: a Poisson
+	// process with this mean arrival rate in requests per second.
+	Rate float64
+	// Clients, when positive, makes the tenant closed-loop: this many
+	// clients, each issuing one request, waiting for its completion (or
+	// shedding), thinking for an exponential time with mean Think, and
+	// issuing again.
+	Clients int
+	// Think is the closed-loop mean think time (0 = reissue
+	// immediately).
+	Think units.Millis
+}
+
+// CheckTenant reports the first structural violation of a tenant
+// sharing models deployments as a plain error; the Validate methods of
+// this package and of internal/serve wrap it in their ErrBadTenant.
+func CheckTenant(t Tenant, models int) error {
+	switch {
+	case t.Model < 0 || t.Model >= models:
+		return fmt.Errorf("references model %d of %d", t.Model, models)
+	case t.Deadline <= 0:
+		return errors.New("needs a positive deadline")
+	case t.Rate < 0 || t.Clients < 0 || t.Think < 0:
+		return errors.New("has a negative rate, client count or think time")
+	case math.IsInf(t.Rate, 1):
+		return errors.New("has an infinite rate")
+	case (t.Rate > 0) == (t.Clients > 0):
+		return errors.New("must be exactly one of open-loop (Rate > 0) or closed-loop (Clients > 0)")
+	}
+	return nil
+}
 
 // Preset couples a fleet platform key with the paper's dual-GPU testbed
 // it provisions and a relative cost rate — the price of keeping one node
@@ -101,8 +143,7 @@ var (
 	ErrMissingProfile = errors.New("cluster: deployment lacks a profile for a fleet platform")
 	// ErrNoTenants reports an Options with no tenants.
 	ErrNoTenants = errors.New("cluster: no tenants")
-	// ErrBadTenant reports a structurally invalid tenant (same rules as
-	// the single-node serving layer).
+	// ErrBadTenant reports a structurally invalid tenant (CheckTenant).
 	ErrBadTenant = errors.New("cluster: bad tenant")
 	// ErrUnknownRouterPolicy reports a RouterPolicy outside the registry.
 	ErrUnknownRouterPolicy = errors.New("cluster: unknown router policy")
@@ -110,7 +151,7 @@ var (
 	ErrBadAdmission = errors.New("cluster: bad admission options")
 	// ErrBadAutoscaler reports inconsistent autoscaler options.
 	ErrBadAutoscaler = errors.New("cluster: bad autoscaler options")
-	// ErrBadHorizon reports a negative arrival horizon.
+	// ErrBadHorizon reports a negative or infinite arrival horizon.
 	ErrBadHorizon = errors.New("cluster: bad horizon")
 )
 
@@ -195,17 +236,6 @@ type Profile struct {
 	// Busy is the total per-request GPU busy time across the replica's
 	// devices (0 = Latency is charged instead).
 	Busy units.Millis
-}
-
-// ProfileOf converts a single-node serving model derived for the given
-// platform (serve.NewModel on a schedule computed with that platform's
-// cost model) into a cluster profile.
-func ProfileOf(platform string, m serve.Model) Profile {
-	var busy units.Millis
-	for _, b := range m.GPUBusy {
-		busy += b
-	}
-	return Profile{Platform: platform, Latency: m.Latency, Period: m.Period, Busy: busy}
 }
 
 // Deployment is one model served fleet-wide: a name plus one serving
@@ -299,18 +329,29 @@ func (o *Options) fill() {
 	if o.Admission.RatePerSec > 0 && o.Admission.Burst == 0 {
 		o.Admission.Burst = 16
 	}
-	nodes := make([]NodeSpec, len(o.Fleet.Nodes))
-	copy(nodes, o.Fleet.Nodes)
-	for i := range nodes {
-		if nodes[i].Count == 0 {
-			nodes[i].Count = 1
-		}
-		if nodes[i].Replicas == 0 {
-			nodes[i].Replicas = 1
+	o.Autoscaler.fill()
+}
+
+// flatten expands the node groups into single nodes in declaration
+// order, each holding one pool per deployment at the group's replica
+// count (zero counts default to 1).
+func (o *Options) flatten() []NodeInput {
+	nodes := make([]NodeInput, 0, o.Fleet.NumNodes())
+	nd := len(o.Deployments)
+	pools := make([]PoolInput, cap(nodes)*nd)
+	for _, ns := range o.Fleet.Nodes {
+		preset, _ := PresetByKey(ns.Platform)
+		for c := 0; c < max(ns.Count, 1); c++ {
+			n := NodeInput{Preset: preset, Pools: pools[:nd:nd]}
+			pools = pools[nd:]
+			for di, d := range o.Deployments {
+				n.Pools[di].Profile, _ = d.profile(ns.Platform)
+				n.Pools[di].Replicas = max(ns.Replicas, 1)
+			}
+			nodes = append(nodes, n)
 		}
 	}
-	o.Fleet.Nodes = nodes
-	o.Autoscaler.fill()
+	return nodes
 }
 
 // Validate checks the configuration, returning the first violation
@@ -350,18 +391,8 @@ func (o Options) Validate() error {
 		return ErrNoTenants
 	}
 	for i, t := range o.Tenants {
-		if t.Model < 0 || t.Model >= len(o.Deployments) {
-			return fmt.Errorf("%w: tenant %d (%s) references deployment %d of %d", ErrBadTenant, i, t.Name, t.Model, len(o.Deployments))
-		}
-		if t.Deadline <= 0 {
-			return fmt.Errorf("%w: tenant %d (%s) needs a positive deadline", ErrBadTenant, i, t.Name)
-		}
-		if t.Rate < 0 || t.Clients < 0 || t.Think < 0 {
-			return fmt.Errorf("%w: tenant %d (%s) has a negative rate, client count or think time", ErrBadTenant, i, t.Name)
-		}
-		open, closed := t.Rate > 0, t.Clients > 0
-		if open == closed {
-			return fmt.Errorf("%w: tenant %d (%s) must be exactly one of open-loop (Rate > 0) or closed-loop (Clients > 0)", ErrBadTenant, i, t.Name)
+		if err := CheckTenant(t, len(o.Deployments)); err != nil {
+			return fmt.Errorf("%w: tenant %d (%s) %v", ErrBadTenant, i, t.Name, err)
 		}
 	}
 	if o.Router != "" && !RouterRegistry.Valid(o.Router) {
@@ -373,7 +404,7 @@ func (o Options) Validate() error {
 	if err := o.Autoscaler.Validate(); err != nil {
 		return err
 	}
-	if o.Horizon < 0 {
+	if o.Horizon < 0 || math.IsInf(float64(o.Horizon), 1) {
 		return fmt.Errorf("%w: %g ms", ErrBadHorizon, float64(o.Horizon))
 	}
 	return nil

@@ -3,18 +3,12 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/units"
 )
-
-// serveModel is a synthetic single-node model whose ProfileOf conversion
-// matches the a40 row of testDeployment.
-func serveModel() serve.Model {
-	return serve.Model{Name: "m", Latency: 4, Period: 2, GPUBusy: []units.Millis{1.5, 1.5}}
-}
 
 // testDeployment is a synthetic deployment with a profile per preset:
 // the a40 twice as fast as the v100s, the a5500 between them, mirroring
@@ -128,7 +122,11 @@ func TestValidateErrors(t *testing.T) {
 		{"autoscaler min above max", mut(func(o *Options) { o.Autoscaler = AutoscalerOptions{Enabled: true, MinReplicas: 5, MaxReplicas: 2} }), ErrBadAutoscaler},
 		{"autoscaler bad floor", mut(func(o *Options) { o.Autoscaler = AutoscalerOptions{Enabled: true, AttainmentFloor: 1.5} }), ErrBadAutoscaler},
 		{"autoscaler low above high", mut(func(o *Options) { o.Autoscaler = AutoscalerOptions{Enabled: true, HighDepth: 1, LowDepth: 2} }), ErrBadAutoscaler},
+		{"autoscaler min above default max", mut(func(o *Options) { o.Autoscaler = AutoscalerOptions{Enabled: true, MinReplicas: 10} }), ErrBadAutoscaler},
+		{"autoscaler low above default high", mut(func(o *Options) { o.Autoscaler = AutoscalerOptions{Enabled: true, LowDepth: 5} }), ErrBadAutoscaler},
 		{"negative horizon", mut(func(o *Options) { o.Horizon = -1 }), ErrBadHorizon},
+		{"infinite horizon", mut(func(o *Options) { o.Horizon = units.Millis(math.Inf(1)) }), ErrBadHorizon},
+		{"tenant infinite rate", mut(func(o *Options) { o.Tenants[0].Rate = math.Inf(1) }), ErrBadTenant},
 	}
 	for _, c := range cases {
 		if err := c.opt.Validate(); !errors.Is(err, c.want) {
@@ -426,13 +424,5 @@ func TestCapacity(t *testing.T) {
 	}
 	if got := opt.Capacity(1); got != 0 {
 		t.Fatalf("Capacity(1) = %g, want 0", got)
-	}
-}
-
-// TestProfileOf converts a serve.Model into a platform profile.
-func TestProfileOf(t *testing.T) {
-	p := ProfileOf("a40", serveModel())
-	if p.Platform != "a40" || p.Latency != 4 || p.Period != 2 || p.Busy != 3 {
-		t.Fatalf("ProfileOf = %+v", p)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/shus-lab/hios/internal/serve"
+	"github.com/shus-lab/hios/internal/des"
 	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
@@ -24,10 +24,10 @@ type request struct {
 	index    int // per-tenant issue order
 	client   int // closed-loop client index, -1 for open-loop
 	node     int // routed node, -1 until admitted
+	replica  int // replica of the node's pool that ran it
 	arrive   units.Millis
 	deadline units.Millis // absolute: arrive + tenant deadline
 	finish   units.Millis
-	qseq     int // global enqueue order, the FIFO key and EDF tie-break
 	state    int
 }
 
@@ -35,27 +35,26 @@ type request struct {
 // internal sequence number.
 const (
 	evArrive = iota // a request reaches the gateway
-	evFree          // a replica admits its next request
+	evFree          // the replica a request started on admits its next one
 	evDone          // a request completes
 	evTick          // the autoscaler evaluates every pool
 )
 
-// cev is the cluster event payload; the (time, sequence) total-order key
-// lives in serve.EventHeap, shared with the single-node engine.
+// cev is the engine's event payload; the (time, sequence) total-order
+// key lives in the des.EventHeap. Every event but evTick names a
+// request; evFree frees the replica that request started on, which the
+// request records, so the payload stays two words.
 type cev struct {
-	kind    int
-	req     int // evArrive, evDone
-	node    int // evFree
-	dep     int // evFree
-	replica int // evFree
+	kind int
+	req  int
 }
 
 // pool is one (node, deployment) replica set: the unit the router
 // targets and the autoscaler scales.
 type pool struct {
 	prof   Profile
-	queue  serve.RequestQueue
-	idle   serve.ReplicaHeap
+	queue  requestQueue
+	idle   replicaHeap
 	live   int // current replica count
 	target int // autoscaler's desired count (live catches up lazily)
 	next   int // next fresh replica index for scale-up
@@ -124,15 +123,15 @@ type engine struct {
 	nodes  []node
 	reqs   []request
 	issued []int // per-tenant issue counter
-	events serve.EventHeap[cev]
-	qseq   int // enqueue sequence counter
+	events des.EventHeap[cev]
+	qseq   int // global enqueue order, the FIFO key and EDF tie-break
 	depth  int // cluster-wide queued requests (gateway shedding signal)
 	popped int64
-	points []serve.QueuePoint
+	points []QueuePoint
 	scales []ScaleEvent
 	rngs   []*rand.Rand // per-tenant arrival streams
-	rng    *rand.Rand   // router stream (random policy)
-	aff    []int        // per-tenant affinity node
+	rng    *rand.Rand   // router stream (random policy only)
+	aff    []int        // per-tenant affinity node (affinity policy only)
 
 	// Token bucket (enabled when o.Admission.RatePerSec > 0).
 	tokens     float64
@@ -231,9 +230,10 @@ func (e *engine) dispatch(ni, di int, now units.Millis) {
 		}
 		rep := p.idle.Pop()
 		r.state = stRunning
+		r.replica = rep
 		p.starts++
 		e.events.Push(now+p.prof.Latency, cev{kind: evDone, req: ri})
-		e.events.Push(now+p.prof.Period, cev{kind: evFree, node: ni, dep: di, replica: rep})
+		e.events.Push(now+p.prof.Period, cev{kind: evFree, req: ri})
 	}
 }
 
@@ -252,7 +252,81 @@ func (e *engine) recordDepth(now units.Millis) {
 	} else if e.depth == 0 {
 		return
 	}
-	e.points = append(e.points, serve.QueuePoint{T: now, Depth: e.depth})
+	e.points = append(e.points, QueuePoint{T: now, Depth: e.depth})
+}
+
+// Input is the engine's flattened input. Run builds it from Options by
+// expanding every node group into single nodes; serve.Run builds a
+// one-node Input with one pool per model.
+type Input struct {
+	// Options supplies the tenants, router, admission control,
+	// autoscaler, horizon and seed. Fleet is not read (Nodes replaces
+	// it) and Deployments only names the pools in the report.
+	Options Options
+	// Nodes lists every node with one pool per deployment.
+	Nodes []NodeInput
+	// FIFO orders every pool's queue by enqueue sequence instead of by
+	// absolute deadline (EDF).
+	FIFO bool
+}
+
+// NodeInput is one node of an Input: its platform preset (the router's
+// cost rate and the report's key) and one pool per deployment.
+type NodeInput struct {
+	Preset Preset
+	Pools  []PoolInput
+}
+
+// PoolInput is one (node, deployment) replica pool of an Input.
+type PoolInput struct {
+	// Profile is the deployment's latency, period and busy time here.
+	Profile Profile
+	// Replicas is the initial live replica count (clamped to the
+	// autoscaler's bounds when it is on).
+	Replicas int
+}
+
+// Outcome is one drained engine run: the fleet report plus the
+// per-request state a single-node report is built from.
+type Outcome struct {
+	Report *Report
+	e      *engine
+}
+
+// ReplicaStarts returns how many requests each replica of pool
+// (node, dep) admitted, indexed by replica.
+func (o *Outcome) ReplicaStarts(node, dep int) []int {
+	starts := make([]int, o.e.nodes[node].pools[dep].next)
+	for i := range o.e.reqs {
+		r := &o.e.reqs[i]
+		if r.state == stDone && r.node == node && o.e.o.Tenants[r.tenant].Model == dep {
+			starts[r.replica]++
+		}
+	}
+	return starts
+}
+
+// Requests returns every request's fate in arrival-event order (nil
+// when nothing arrived).
+func (o *Outcome) Requests() []RequestOutcome {
+	if len(o.e.reqs) == 0 {
+		return nil
+	}
+	out := make([]RequestOutcome, len(o.e.reqs))
+	for i := range o.e.reqs {
+		r := &o.e.reqs[i]
+		done := r.state == stDone
+		out[i] = RequestOutcome{
+			Tenant:    r.tenant,
+			Index:     r.index,
+			Arrive:    r.arrive,
+			Deadline:  r.deadline,
+			Finish:    r.finish,
+			Completed: done,
+			Met:       done && r.finish <= r.deadline,
+		}
+	}
+	return out
 }
 
 // Run simulates the cluster described by opt and returns its report.
@@ -261,49 +335,52 @@ func Run(opt Options) (*Report, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	opt.fill()
+	out, err := Simulate(Input{Options: opt, Nodes: opt.flatten()})
+	if err != nil {
+		return nil, err
+	}
+	return out.Report, nil
+}
 
+// Simulate runs the engine on a flattened input whose Options already
+// passed validation, filling their defaults first. The same Input always
+// produces the same Outcome.
+func Simulate(in Input) (*Outcome, error) {
+	opt := in.Options
+	opt.fill()
 	e := &engine{
 		o:      opt,
+		nodes:  make([]node, len(in.Nodes)),
 		issued: make([]int, len(opt.Tenants)),
 		rngs:   make([]*rand.Rand, len(opt.Tenants)),
 		tokens: float64(opt.Admission.Burst),
 	}
-	// Flatten the fleet: node groups expand to individual nodes in
-	// declaration order, each holding one pool per deployment.
-	for _, ns := range opt.Fleet.Nodes {
-		preset, _ := PresetByKey(ns.Platform)
-		for c := 0; c < ns.Count; c++ {
-			nd := node{preset: preset, pools: make([]pool, len(opt.Deployments))}
-			for di, d := range opt.Deployments {
-				prof, _ := d.profile(ns.Platform)
-				p := &nd.pools[di]
-				p.prof = prof
-				p.queue = serve.RequestQueue{ByDeadline: true}
-				reps := ns.Replicas
-				if a := &opt.Autoscaler; a.Enabled {
-					if reps < a.MinReplicas {
-						reps = a.MinReplicas
-					}
-					if reps > a.MaxReplicas {
-						reps = a.MaxReplicas
-					}
-					p.depthWin = make([]float64, a.Window)
-					p.doneWin = make([]int, a.Window)
-					p.metWin = make([]int, a.Window)
-				}
-				for rp := 0; rp < reps; rp++ {
-					p.idle.Push(rp)
-				}
-				p.live, p.target, p.next, p.peak = reps, reps, reps, reps
+	for ni, n := range in.Nodes {
+		nd := &e.nodes[ni]
+		nd.preset = n.Preset
+		nd.pools = make([]pool, len(n.Pools))
+		for di, pi := range n.Pools {
+			p := &nd.pools[di]
+			p.prof = pi.Profile
+			p.queue = requestQueue{byDeadline: !in.FIFO}
+			reps := pi.Replicas
+			if a := &opt.Autoscaler; a.Enabled {
+				reps = min(max(reps, a.MinReplicas), a.MaxReplicas)
+				p.depthWin = make([]float64, a.Window)
+				p.doneWin = make([]int, a.Window)
+				p.metWin = make([]int, a.Window)
 			}
-			e.nodes = append(e.nodes, nd)
+			for rp := 0; rp < reps; rp++ {
+				p.idle.Push(rp)
+			}
+			p.live, p.target, p.next, p.peak = reps, reps, reps, reps
 		}
 	}
 
 	// Seed streams: one per tenant for arrivals, then the router stream,
 	// then one affinity draw per tenant — all splitmix64-separated from
-	// Options.Seed so adding tenants never perturbs earlier streams.
+	// Options.Seed so adding tenants never perturbs earlier streams. The
+	// router streams are drawn only for the policies that read them.
 	nt := len(opt.Tenants)
 	for ti, t := range opt.Tenants {
 		e.rngs[ti] = rand.New(rand.NewSource(stats.MixSeed(opt.Seed, ti)))
@@ -325,11 +402,15 @@ func Run(opt Options) (*Report, error) {
 			}
 		}
 	}
-	e.rng = rand.New(rand.NewSource(stats.MixSeed(opt.Seed, nt)))
-	e.aff = make([]int, nt)
-	for ti := range e.aff {
-		h := stats.MixSeed(opt.Seed, nt+1+ti)
-		e.aff[ti] = int((uint64(h) >> 1) % uint64(len(e.nodes)))
+	switch opt.Router {
+	case RouterRandom:
+		e.rng = rand.New(rand.NewSource(stats.MixSeed(opt.Seed, nt)))
+	case RouterAffinity:
+		e.aff = make([]int, nt)
+		for ti := range e.aff {
+			h := stats.MixSeed(opt.Seed, nt+1+ti)
+			e.aff[ti] = int((uint64(h) >> 1) % uint64(len(e.nodes)))
+		}
 	}
 	if opt.Autoscaler.Enabled {
 		e.events.Push(opt.Autoscaler.Interval, cev{kind: evTick})
@@ -348,18 +429,19 @@ func Run(opt Options) (*Report, error) {
 				break
 			}
 			r := &e.reqs[ev.req]
-			r.qseq = e.qseq
-			e.qseq++
 			di := e.o.Tenants[r.tenant].Model
 			ni := e.route(r.tenant, di)
 			r.node = ni
 			p := &e.nodes[ni].pools[di]
 			p.touch(now)
-			p.queue.Push(r.deadline, r.qseq, ev.req)
+			p.queue.Push(r.deadline, e.qseq, ev.req)
+			e.qseq++
 			e.depth++
 			e.dispatch(ni, di, now)
 		case evFree:
-			p := &e.nodes[ev.node].pools[ev.dep]
+			r := &e.reqs[ev.req]
+			di := e.o.Tenants[r.tenant].Model
+			p := &e.nodes[r.node].pools[di]
 			p.touch(now)
 			if p.live > p.target {
 				// A scale-down is pending: retire this replica instead of
@@ -367,8 +449,8 @@ func Run(opt Options) (*Report, error) {
 				p.setLive(p.live-1, now)
 				break
 			}
-			p.idle.Push(ev.replica)
-			e.dispatch(ev.node, ev.dep, now)
+			p.idle.Push(r.replica)
+			e.dispatch(r.node, di, now)
 		case evDone:
 			r := &e.reqs[ev.req]
 			r.state = stDone
@@ -389,5 +471,5 @@ func Run(opt Options) (*Report, error) {
 			return nil, fmt.Errorf("cluster: internal error: request %d ended in state %d", i, st)
 		}
 	}
-	return e.report(makespan), nil
+	return &Outcome{Report: e.report(makespan), e: e}, nil
 }

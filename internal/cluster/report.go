@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
@@ -46,14 +45,49 @@ type Report struct {
 	// relative cost rate, summed.
 	CostUnits float64
 	// Tenants breaks the counters down per tenant, in Options order.
-	Tenants []serve.TenantReport
+	Tenants []TenantReport
 	// Nodes reports each (node, deployment) pool, in node order then
 	// deployment order.
 	Nodes []NodeReport
 	// Scales is the autoscaler's decision timeline, in event order.
 	Scales []ScaleEvent
 	// Queue is the cluster-wide queued-request depth over time.
-	Queue []serve.QueuePoint
+	Queue []QueuePoint
+}
+
+// TenantReport is one tenant's slice of a serving report.
+type TenantReport struct {
+	Name          string
+	Model         int
+	Offered       int
+	Completed     int
+	SLOMet        int
+	Shed          int
+	Attainment    float64
+	P50, P95, P99 units.Millis
+}
+
+// QueuePoint is one step of the queue-depth timeline.
+type QueuePoint struct {
+	T     units.Millis
+	Depth int
+}
+
+// RequestOutcome is one request's fate (Outcome.Requests).
+type RequestOutcome struct {
+	// Tenant and Index identify the request (Index is the tenant's
+	// issue order).
+	Tenant int
+	Index  int
+	// Arrive and Deadline are absolute times; Finish is completion (or
+	// shed) time.
+	Arrive   units.Millis
+	Deadline units.Millis
+	Finish   units.Millis
+	// Completed is false for shed requests; Met reports Finish <=
+	// Deadline for completed ones.
+	Completed bool
+	Met       bool
 }
 
 // NodeReport is one (node, deployment) replica pool's slice of the
@@ -98,12 +132,12 @@ func (e *engine) report(makespan units.Millis) *Report {
 		Horizon:  e.o.Horizon,
 		Makespan: makespan,
 		Events:   e.popped,
-		Tenants:  make([]serve.TenantReport, len(e.o.Tenants)),
+		Tenants:  make([]TenantReport, len(e.o.Tenants)),
 		Scales:   e.scales,
 		Queue:    e.points,
 	}
 	for ti, t := range e.o.Tenants {
-		r.Tenants[ti] = serve.TenantReport{Name: t.Name, Model: t.Model}
+		r.Tenants[ti] = TenantReport{Name: t.Name, Model: t.Model}
 	}
 
 	var all []float64
@@ -233,11 +267,15 @@ func (r *Report) Render(w io.Writer) error {
 
 // WriteQueue streams the queue-depth timeline as two-column CSV
 // (time_ms,depth), suitable for plotting.
-func (r *Report) WriteQueue(w io.Writer) error {
+func (r *Report) WriteQueue(w io.Writer) error { return WriteQueue(w, r.Queue) }
+
+// WriteQueue streams a queue-depth timeline as two-column CSV
+// (time_ms,depth); both serving reports write their timelines with it.
+func WriteQueue(w io.Writer, queue []QueuePoint) error {
 	if _, err := io.WriteString(w, "time_ms,depth\n"); err != nil {
 		return err
 	}
-	for _, p := range r.Queue {
+	for _, p := range queue {
 		if _, err := fmt.Fprintf(w, "%.6f,%d\n", float64(p.T), p.Depth); err != nil {
 			return err
 		}

@@ -120,7 +120,7 @@ func fleetProfiles(opt FleetSweepOptions) ([]cluster.Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("AttainmentVsFleet: %s: %w", p.Key, err)
 		}
-		profs = append(profs, cluster.ProfileOf(p.Key, sm))
+		profs = append(profs, serve.ProfileOf(p.Key, sm))
 	}
 	return profs, nil
 }

@@ -223,10 +223,10 @@ func TestSuiteListsAllAnalyzers(t *testing.T) {
 // decision that has to touch this table, not something that slips in.
 func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
-		"floatexact": 14, // comparator tie-breaks, unset-option sentinels, 0-vs-0 benchmark baselines, cluster queue-point dedupe
+		"floatexact": 11, // comparator tie-breaks, unset-option sentinels, 0-vs-0 benchmark baselines, cluster queue-point dedupe
 		"seedflow":   3,  // ios dp.go zobrist splitmix64 stream constants
 		"locksafe":   1,  // profile.Export snapshot clone under the read lock
-		"hotpath":    12, // scheduler and serving entry-point roots (propagation covers the rest)
+		"hotpath":    11, // scheduler and serving entry-point roots (propagation covers the rest)
 	}
 	got := map[string]int{}
 	dirRe := regexp.MustCompile(`^//lint:([a-z]+)(.*)$`)

@@ -3,9 +3,8 @@ package serve
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"github.com/shus-lab/hios/internal/stats"
+	"github.com/shus-lab/hios/internal/cluster"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -50,18 +49,6 @@ type Report struct {
 	Requests []RequestOutcome
 }
 
-// TenantReport is one tenant's slice of the serving report.
-type TenantReport struct {
-	Name          string
-	Model         int
-	Offered       int
-	Completed     int
-	SLOMet        int
-	Shed          int
-	Attainment    float64
-	P50, P95, P99 units.Millis
-}
-
 // GPUUtil is the utilization of one GPU of one pipeline replica.
 type GPUUtil struct {
 	// Model names the deployment; Replica and GPU index within it.
@@ -74,132 +61,6 @@ type GPUUtil struct {
 	Starts int
 	Busy   units.Millis
 	Util   float64
-}
-
-// QueuePoint is one step of the queue-depth timeline.
-type QueuePoint struct {
-	T     units.Millis
-	Depth int
-}
-
-// RequestOutcome is one request's fate, recorded when
-// Options.RecordRequests is set.
-type RequestOutcome struct {
-	// Tenant and Index identify the request (Index is the tenant's
-	// issue order).
-	Tenant int
-	Index  int
-	// Arrive and Deadline are absolute times; Finish is completion (or
-	// shed) time.
-	Arrive   units.Millis
-	Deadline units.Millis
-	Finish   units.Millis
-	// Completed is false for shed requests; Met reports Finish <=
-	// Deadline for completed ones.
-	Completed bool
-	Met       bool
-}
-
-// report assembles the Report from the drained engine state.
-func (e *engine) report(makespan units.Millis) *Report {
-	r := &Report{
-		Policy:   e.o.Policy,
-		Horizon:  e.o.Horizon,
-		Makespan: makespan,
-		Tenants:  make([]TenantReport, len(e.o.Tenants)),
-		Queue:    e.points,
-	}
-	for ti, t := range e.o.Tenants {
-		r.Tenants[ti] = TenantReport{Name: t.Name, Model: t.Model}
-	}
-
-	var all []float64
-	per := make([][]float64, len(e.o.Tenants))
-	for i := range e.reqs {
-		req := &e.reqs[i]
-		tr := &r.Tenants[req.tenant]
-		r.Offered++
-		tr.Offered++
-		met := false
-		switch req.state {
-		case stShed:
-			r.Shed++
-			tr.Shed++
-		case stDone:
-			r.Completed++
-			tr.Completed++
-			met = req.finish <= req.deadline
-			if met {
-				r.SLOMet++
-				tr.SLOMet++
-			}
-			resp := float64(req.finish - req.arrive)
-			all = append(all, resp)
-			per[req.tenant] = append(per[req.tenant], resp)
-		}
-		if e.o.RecordRequests {
-			r.Requests = append(r.Requests, RequestOutcome{
-				Tenant:    req.tenant,
-				Index:     req.index,
-				Arrive:    req.arrive,
-				Deadline:  req.deadline,
-				Finish:    req.finish,
-				Completed: req.state == stDone,
-				Met:       met,
-			})
-		}
-	}
-
-	r.Attainment = attainment(r.SLOMet, r.Offered)
-	if makespan > 0 {
-		r.GoodputPerSec = float64(r.SLOMet) * 1e3 / float64(makespan)
-	}
-	sort.Float64s(all)
-	r.P50 = units.Millis(stats.Percentile(all, 50))
-	r.P95 = units.Millis(stats.Percentile(all, 95))
-	r.P99 = units.Millis(stats.Percentile(all, 99))
-	r.Max = units.Millis(stats.Max(all))
-	if len(all) == 0 {
-		r.Max = 0
-	}
-	for ti := range r.Tenants {
-		tr := &r.Tenants[ti]
-		tr.Attainment = attainment(tr.SLOMet, tr.Offered)
-		sort.Float64s(per[ti])
-		tr.P50 = units.Millis(stats.Percentile(per[ti], 50))
-		tr.P95 = units.Millis(stats.Percentile(per[ti], 95))
-		tr.P99 = units.Millis(stats.Percentile(per[ti], 99))
-	}
-
-	for mi := range e.o.Models {
-		m := &e.o.Models[mi]
-		for rep := 0; rep < m.Replicas; rep++ {
-			starts := e.starts[mi][rep]
-			for g := range m.GPUBusy {
-				busy := m.GPUBusy[g].Scale(float64(starts))
-				util := 0.0
-				if makespan > 0 {
-					util = busy.Ratio(makespan)
-				}
-				r.GPUs = append(r.GPUs, GPUUtil{
-					Model:   m.Name,
-					Replica: rep,
-					GPU:     g,
-					Starts:  starts,
-					Busy:    busy,
-					Util:    util,
-				})
-			}
-		}
-	}
-	return r
-}
-
-func attainment(met, offered int) float64 {
-	if offered == 0 {
-		return 1
-	}
-	return float64(met) / float64(offered)
 }
 
 // Render writes a human-readable summary. The output is deterministic
@@ -238,14 +99,4 @@ func (r *Report) Render(w io.Writer) error {
 
 // WriteQueue streams the queue-depth timeline as two-column CSV
 // (time_ms,depth), suitable for plotting.
-func (r *Report) WriteQueue(w io.Writer) error {
-	if _, err := io.WriteString(w, "time_ms,depth\n"); err != nil {
-		return err
-	}
-	for _, p := range r.Queue {
-		if _, err := fmt.Fprintf(w, "%.6f,%d\n", float64(p.T), p.Depth); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (r *Report) WriteQueue(w io.Writer) error { return cluster.WriteQueue(w, r.Queue) }

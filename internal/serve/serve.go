@@ -13,25 +13,44 @@
 // scheduler quality (lower L, lower P) is directly visible as serving
 // capacity and SLO attainment.
 //
-// The simulator obeys the repository's determinism contract (DESIGN.md
-// §7 and §9): no wall clock, no global RNG; every stochastic arrival
-// process draws from a *rand.Rand seeded from Options.Seed, events are
-// totally ordered by (time, sequence number), and all report slices are
-// emitted in deterministic order, so the same Options yield a
-// byte-identical Report rendering on every run.
+// The deployment runs on the module's one serving engine, the fleet
+// simulator of internal/cluster, as a one-node cluster: each Model is
+// one replica pool, the Policy picks the pools' queue order and whether
+// hopeless requests are shed, and Report is built from the engine's
+// summary. The engine obeys the repository's determinism contract
+// (DESIGN.md §7 and §9): no wall clock, no global RNG, seeded arrival
+// streams, events totally ordered by (time, sequence number), so the
+// same Options yield a byte-identical Report rendering on every run.
 package serve
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math"
 
+	"github.com/shus-lab/hios/internal/cluster"
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/pipeline"
 	"github.com/shus-lab/hios/internal/sched"
-	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
+)
+
+// The request and report vocabulary shared with the engine.
+type (
+	// Tenant is one request class: an arrival process plus a relative
+	// deadline; Model indexes Options.Models.
+	Tenant = cluster.Tenant
+	// TenantReport is one tenant's slice of the serving report.
+	TenantReport = cluster.TenantReport
+	// QueuePoint is one step of the queue-depth timeline.
+	QueuePoint = cluster.QueuePoint
+	// RequestOutcome is one request's fate, recorded when
+	// Options.RecordRequests is set.
+	RequestOutcome = cluster.RequestOutcome
+	// PolicyRegistry is the single source of truth for a policy
+	// enumeration (see Registry).
+	PolicyRegistry[P ~string] = cluster.PolicyRegistry[P]
 )
 
 // Policy selects the dispatch discipline of the serving queue.
@@ -50,9 +69,20 @@ const (
 	EDFShed Policy = "edf-shed"
 )
 
+// Registry enumerates the dispatch policies of this package. Policies,
+// Options.Validate and the CLI usage text all read from here.
+var Registry = PolicyRegistry[Policy]{
+	{Policy: FIFO, Usage: "strict arrival order"},
+	{Policy: EDF, Usage: "earliest absolute deadline first"},
+	{Policy: EDFShed, Usage: "EDF plus shed-on-hopeless admission control"},
+}
+
 // Policies lists every implemented dispatch policy, enumerated from
-// Registry (the single source of truth; see policyreg.go).
+// Registry.
 func Policies() []Policy { return Registry.Policies() }
+
+// PolicyUsage renders the dispatch policies as a flag usage string.
+func PolicyUsage() string { return Registry.Usage() }
 
 // Sentinel errors of Options.Validate, all errors.Is-matchable.
 var (
@@ -66,10 +96,11 @@ var (
 	// period exceeding its latency, or a negative replica count.
 	ErrBadModel = errors.New("serve: bad model")
 	// ErrBadTenant reports a Tenant with an out-of-range model index, a
-	// nonpositive deadline, or an arrival process that is neither purely
-	// open-loop (Rate > 0) nor purely closed-loop (Clients > 0).
+	// nonpositive deadline, an infinite rate, or an arrival process that
+	// is neither purely open-loop (Rate > 0) nor purely closed-loop
+	// (Clients > 0).
 	ErrBadTenant = errors.New("serve: bad tenant")
-	// ErrBadHorizon reports a negative arrival horizon.
+	// ErrBadHorizon reports a negative or infinite arrival horizon.
 	ErrBadHorizon = errors.New("serve: bad horizon")
 )
 
@@ -140,29 +171,16 @@ func (m Model) Capacity() float64 {
 	return float64(r) * 1e3 / float64(m.Period)
 }
 
-// Tenant is one request class sharing the deployment: an arrival process
-// plus a relative deadline (the tenant's SLO). Exactly one of Rate
-// (open-loop) and Clients (closed-loop) must be positive.
-type Tenant struct {
-	// Name labels the tenant in reports.
-	Name string
-	// Model indexes Options.Models: the deployment this tenant's
-	// requests run on.
-	Model int
-	// Deadline is the relative deadline of every request: a request
-	// arriving at t meets its SLO iff it completes by t + Deadline.
-	Deadline units.Millis
-	// Rate, when positive, makes the tenant open-loop: a Poisson
-	// process with this mean arrival rate in requests per second.
-	Rate float64
-	// Clients, when positive, makes the tenant closed-loop: this many
-	// clients, each issuing one request, waiting for its completion (or
-	// shedding), thinking for an exponential time with mean Think, and
-	// issuing again.
-	Clients int
-	// Think is the closed-loop mean think time (0 = reissue
-	// immediately).
-	Think units.Millis
+// ProfileOf converts a model derived for the given platform (NewModel
+// on a schedule computed with that platform's cost model) into the
+// cluster profile of that platform: its latency, period and total
+// per-request busy time across the replica's GPUs.
+func ProfileOf(platform string, m Model) cluster.Profile {
+	var busy units.Millis
+	for _, b := range m.GPUBusy {
+		busy += b
+	}
+	return cluster.Profile{Platform: platform, Latency: m.Latency, Period: m.Period, Busy: busy}
 }
 
 // Options configures one serving simulation. The zero value of every
@@ -188,30 +206,6 @@ type Options struct {
 	RecordRequests bool
 }
 
-// fill normalizes the defaulted fields on a private copy. The Models
-// slice is copied before replica defaulting so the caller's values are
-// never mutated.
-func (o *Options) fill() {
-	if o.Policy == "" {
-		o.Policy = FIFO
-	}
-	// Exact zero test: the zero value selects the default.
-	if o.Horizon == 0 { //lint:floatexact zero is the unset-option sentinel, not a computed value
-		o.Horizon = units.Millis(1000)
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	models := make([]Model, len(o.Models))
-	copy(models, o.Models)
-	for i := range models {
-		if models[i].Replicas == 0 {
-			models[i].Replicas = 1
-		}
-	}
-	o.Models = models
-}
-
 // Validate checks the configuration, returning the first violation
 // wrapped around one of the sentinel errors above. Zero values with
 // documented defaults (Policy, Horizon, Seed, Model.Replicas) are valid.
@@ -234,161 +228,17 @@ func (o Options) Validate() error {
 		return ErrNoTenants
 	}
 	for i, t := range o.Tenants {
-		if t.Model < 0 || t.Model >= len(o.Models) {
-			return fmt.Errorf("%w: tenant %d (%s) references model %d of %d", ErrBadTenant, i, t.Name, t.Model, len(o.Models))
-		}
-		if t.Deadline <= 0 {
-			return fmt.Errorf("%w: tenant %d (%s) needs a positive deadline", ErrBadTenant, i, t.Name)
-		}
-		if t.Rate < 0 || t.Clients < 0 || t.Think < 0 {
-			return fmt.Errorf("%w: tenant %d (%s) has a negative rate, client count or think time", ErrBadTenant, i, t.Name)
-		}
-		open, closed := t.Rate > 0, t.Clients > 0
-		if open == closed {
-			return fmt.Errorf("%w: tenant %d (%s) must be exactly one of open-loop (Rate > 0) or closed-loop (Clients > 0)", ErrBadTenant, i, t.Name)
+		if err := cluster.CheckTenant(t, len(o.Models)); err != nil {
+			return fmt.Errorf("%w: tenant %d (%s) %v", ErrBadTenant, i, t.Name, err)
 		}
 	}
 	if o.Policy != "" && !Registry.Valid(o.Policy) {
 		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownPolicy, string(o.Policy), Policies())
 	}
-	if o.Horizon < 0 {
+	if o.Horizon < 0 || math.IsInf(float64(o.Horizon), 1) {
 		return fmt.Errorf("%w: %g ms", ErrBadHorizon, float64(o.Horizon))
 	}
 	return nil
-}
-
-// Request lifecycle states.
-const (
-	stQueued = iota
-	stRunning
-	stDone
-	stShed
-)
-
-// request is one in-flight inference request.
-type request struct {
-	tenant   int
-	index    int // per-tenant issue order
-	client   int // closed-loop client index, -1 for open-loop
-	arrive   units.Millis
-	deadline units.Millis // absolute: arrive + tenant deadline
-	finish   units.Millis
-	qseq     int // global enqueue order, the FIFO key and EDF tie-break
-	state    int
-}
-
-// Event kinds, in no particular priority: simultaneous events execute in
-// push order via the heap's internal sequence number.
-const (
-	evArrive = iota // a request joins its model's queue
-	evFree          // a replica admits its next request
-	evDone          // a request completes
-)
-
-// event is the heap payload; the (time, sequence) key lives in the
-// EventHeap (heap.go), which serve shares with the cluster control plane.
-type event struct {
-	kind    int
-	req     int // evArrive, evDone
-	model   int // evFree
-	replica int // evFree
-}
-
-// engine is the running simulation state.
-type engine struct {
-	o      Options
-	reqs   []request
-	issued []int // per-tenant issue counter
-	queues []RequestQueue
-	idle   []ReplicaHeap
-	starts [][]int // starts[model][replica]
-	events EventHeap[event]
-	qseq   int // enqueue sequence counter
-	depth  int // total queued requests across models
-	points []QueuePoint
-	rngs   []*rand.Rand
-}
-
-// newRequest creates a request arriving at the given time and schedules
-// its arrival event.
-func (e *engine) newRequest(tenant, client int, at units.Millis) {
-	t := &e.o.Tenants[tenant]
-	ri := len(e.reqs)
-	e.reqs = append(e.reqs, request{
-		tenant:   tenant,
-		index:    e.issued[tenant],
-		client:   client,
-		arrive:   at,
-		deadline: at + t.Deadline,
-		state:    stQueued,
-	})
-	e.issued[tenant]++
-	e.events.Push(at, event{kind: evArrive, req: ri})
-}
-
-// expMillis draws an exponential duration with the given mean.
-func expMillis(rng *rand.Rand, mean units.Millis) units.Millis {
-	return mean.Scale(rng.ExpFloat64())
-}
-
-// reissue puts a closed-loop client back into think state after its
-// request finished (completed or was shed) at the given time.
-func (e *engine) reissue(tenant, client int, now units.Millis) {
-	if client < 0 {
-		return
-	}
-	t := &e.o.Tenants[tenant]
-	next := now + expMillis(e.rngs[tenant], t.Think)
-	if next < e.o.Horizon {
-		e.newRequest(tenant, client, next)
-	}
-}
-
-// dispatch matches idle replicas of model mi with queued requests at
-// time now, shedding hopeless requests first under EDFShed. This is the
-// per-event inner loop of the serving simulator and the package's
-// hot-path root (Run's setup loops legitimately allocate per tenant).
-//
-//lint:hotpath
-func (e *engine) dispatch(mi int, now units.Millis) {
-	q, idle := &e.queues[mi], &e.idle[mi]
-	m := &e.o.Models[mi]
-	for idle.Len() > 0 && q.Len() > 0 {
-		ri := q.Pop()
-		r := &e.reqs[ri]
-		e.depth--
-		if e.o.Policy == EDFShed && now+m.Latency > r.deadline {
-			// Provably hopeless: even starting this instant misses the
-			// deadline. Shed without consuming the replica.
-			r.state = stShed
-			r.finish = now
-			e.reissue(r.tenant, r.client, now)
-			continue
-		}
-		rep := idle.Pop()
-		r.state = stRunning
-		e.starts[mi][rep]++
-		e.events.Push(now+m.Latency, event{kind: evDone, req: ri})
-		e.events.Push(now+m.Period, event{kind: evFree, model: mi, replica: rep})
-	}
-}
-
-// recordDepth appends a queue-depth change point at time now, coalescing
-// multiple changes at the same instant into the final value.
-func (e *engine) recordDepth(now units.Millis) {
-	if n := len(e.points); n > 0 {
-		if e.points[n-1].Depth == e.depth {
-			return
-		}
-		// Exact IEEE equality: same event timestamp, not a tolerance.
-		if e.points[n-1].T == now { //lint:floatexact same-event timestamp dedupe: both values are copies of one event time
-			e.points[n-1].Depth = e.depth
-			return
-		}
-	} else if e.depth == 0 {
-		return
-	}
-	e.points = append(e.points, QueuePoint{T: now, Depth: e.depth})
 }
 
 // Run simulates the deployment described by opt and returns its serving
@@ -397,74 +247,60 @@ func Run(opt Options) (*Report, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	opt.fill()
-
-	e := &engine{
-		o:      opt,
-		issued: make([]int, len(opt.Tenants)),
-		queues: make([]RequestQueue, len(opt.Models)),
-		idle:   make([]ReplicaHeap, len(opt.Models)),
-		starts: make([][]int, len(opt.Models)),
-		rngs:   make([]*rand.Rand, len(opt.Tenants)),
+	if opt.Policy == "" {
+		opt.Policy = FIFO
+	}
+	in := cluster.Input{
+		Options: cluster.Options{
+			Deployments: make([]cluster.Deployment, len(opt.Models)),
+			Tenants:     opt.Tenants,
+			Admission:   cluster.Admission{ShedHopeless: opt.Policy == EDFShed},
+			Horizon:     opt.Horizon,
+			Seed:        opt.Seed,
+		},
+		Nodes: []cluster.NodeInput{{Pools: make([]cluster.PoolInput, len(opt.Models))}},
+		FIFO:  opt.Policy == FIFO,
 	}
 	for mi, m := range opt.Models {
-		e.queues[mi] = RequestQueue{ByDeadline: opt.Policy != FIFO}
-		for r := 0; r < m.Replicas; r++ {
-			e.idle[mi].Push(r)
-		}
-		e.starts[mi] = make([]int, m.Replicas)
+		in.Options.Deployments[mi].Name = m.Name
+		in.Nodes[0].Pools[mi] = cluster.PoolInput{Profile: ProfileOf("", m), Replicas: max(m.Replicas, 1)}
 	}
-	for ti, t := range opt.Tenants {
-		e.rngs[ti] = rand.New(rand.NewSource(stats.MixSeed(opt.Seed, ti)))
-		if t.Rate > 0 {
-			// Open-loop: pre-draw the whole Poisson arrival sequence.
-			mean := units.Millis(1e3 / t.Rate)
-			at := expMillis(e.rngs[ti], mean)
-			for at < opt.Horizon {
-				e.newRequest(ti, -1, at)
-				at += expMillis(e.rngs[ti], mean)
-			}
-		} else {
-			// Closed-loop: every client starts in think state.
-			for c := 0; c < t.Clients; c++ {
-				at := expMillis(e.rngs[ti], t.Think)
-				if at < opt.Horizon {
-					e.newRequest(ti, c, at)
+	out, err := cluster.Simulate(in)
+	if err != nil {
+		return nil, err
+	}
+	c := out.Report
+	r := &Report{
+		Policy:        opt.Policy,
+		Horizon:       c.Horizon,
+		Makespan:      c.Makespan,
+		Offered:       c.Offered,
+		Completed:     c.Completed,
+		SLOMet:        c.SLOMet,
+		Shed:          c.Shed,
+		Attainment:    c.Attainment,
+		GoodputPerSec: c.GoodputPerSec,
+		P50:           c.P50,
+		P95:           c.P95,
+		P99:           c.P99,
+		Max:           c.Max,
+		Tenants:       c.Tenants,
+		Queue:         c.Queue,
+	}
+	for mi, m := range opt.Models {
+		for rep, starts := range out.ReplicaStarts(0, mi) {
+			for g, b := range m.GPUBusy {
+				busy := b.Scale(float64(starts))
+				util := 0.0
+				if r.Makespan > 0 {
+					util = busy.Ratio(r.Makespan)
 				}
+				r.GPUs = append(r.GPUs, GPUUtil{Model: m.Name, Replica: rep, GPU: g, Starts: starts, Busy: busy, Util: util})
 			}
 		}
 	}
-
-	var makespan units.Millis
-	for e.events.Len() > 0 {
-		now, ev := e.events.Pop()
-		if now > makespan {
-			makespan = now
-		}
-		switch ev.kind {
-		case evArrive:
-			r := &e.reqs[ev.req]
-			r.qseq = e.qseq
-			e.qseq++
-			mi := e.o.Tenants[r.tenant].Model
-			e.queues[mi].Push(r.deadline, r.qseq, ev.req)
-			e.depth++
-			e.dispatch(mi, now)
-		case evFree:
-			e.idle[ev.model].Push(ev.replica)
-			e.dispatch(ev.model, now)
-		case evDone:
-			r := &e.reqs[ev.req]
-			r.state = stDone
-			r.finish = now
-			e.reissue(r.tenant, r.client, now)
-		}
-		e.recordDepth(now)
+	if opt.RecordRequests {
+		r.Requests = out.Requests()
 	}
-	for i := range e.reqs {
-		if st := e.reqs[i].state; st != stDone && st != stShed {
-			return nil, fmt.Errorf("serve: internal error: request %d ended in state %d", i, st)
-		}
-	}
-	return e.report(makespan), nil
+	return r, nil
 }

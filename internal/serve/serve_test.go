@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/shus-lab/hios/internal/cost"
@@ -59,6 +60,8 @@ func TestValidateErrors(t *testing.T) {
 		{"both open and closed", func(o *Options) { o.Tenants[0].Clients = 2 }, ErrBadTenant},
 		{"unknown policy", func(o *Options) { o.Policy = Policy("lifo") }, ErrUnknownPolicy},
 		{"negative horizon", func(o *Options) { o.Horizon = units.Millis(-1) }, ErrBadHorizon},
+		{"infinite horizon", func(o *Options) { o.Horizon = units.Millis(math.Inf(1)) }, ErrBadHorizon},
+		{"infinite rate", func(o *Options) { o.Tenants[0].Rate = math.Inf(1) }, ErrBadTenant},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -404,5 +407,15 @@ func BenchmarkServeEDF(b *testing.B) {
 		if _, err := Run(opt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestProfileOf converts a Model into a platform profile whose busy time
+// is the sum of the per-GPU busy times.
+func TestProfileOf(t *testing.T) {
+	m := Model{Name: "m", Latency: 4, Period: 2, GPUBusy: []units.Millis{1.5, 1.5}}
+	p := ProfileOf("a40", m)
+	if p.Platform != "a40" || p.Latency != 4 || p.Period != 2 || p.Busy != 3 {
+		t.Fatalf("ProfileOf = %+v", p)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"github.com/shus-lab/hios/internal/cost"
+	"github.com/shus-lab/hios/internal/des"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/units"
@@ -44,84 +45,12 @@ type Trace struct {
 	Transfers []TransferRecord
 }
 
-// event is a pending simulator event.
+// event is a pending simulator event; its (time, sequence) key lives
+// in the des.EventHeap.
 type event struct {
-	at   units.Millis
 	kind int // 0: stage finish, 1: transfer arrival
-	seq  int // tie-break for determinism
 	gpu  int // stage finish: which GPU
 	xfer int // transfer arrival: index into pending transfers
-}
-
-// eventHeap is a typed binary min-heap. It deliberately does not satisfy
-// heap.Interface: container/heap's Push/Pop trade in `any` and would box
-// one event per operation in the simulator's hot loop. The (at, seq) key
-// is a total order, so the pop sequence is identical to container/heap's.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	// Exact IEEE inequality keeps the heap order strict-weak; ties fall
-	// through to the deterministic sequence number.
-	if h[i].at != h[j].at { //lint:floatexact comparator tie-break: epsilon would break the strict weak order
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	h.up(len(*h) - 1)
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	x := s[n]
-	*h = s[:n]
-	if n > 0 {
-		h.down(0)
-	}
-	return x
-}
-
-func (h eventHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.Less(i, p) {
-			break
-		}
-		h.Swap(i, p)
-		i = p
-	}
-}
-
-func (h eventHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		j := l
-		if r := l + 1; r < n && h.Less(r, l) {
-			j = r
-		}
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		i = j
-	}
-}
-
-func (h eventHeap) Peek() (event, bool) {
-	if len(h) == 0 {
-		return event{}, false
-	}
-	return h[0], true
 }
 
 // Options controls simulation fidelity.
@@ -244,8 +173,7 @@ func RunOpts(g *graph.Graph, m cost.Model, s *sched.Schedule, opt Options) (*Tra
 	nG := len(s.GPUs)
 	linkFree := make([]units.Millis, nG*nG)
 	now := units.Millis(0)
-	seq := 0
-	var h eventHeap
+	var h des.EventHeap[event]
 
 	startReady := func(gpu int) {
 		if started[gpu] || next[gpu] >= len(s.GPUs[gpu].Stages) {
@@ -267,8 +195,7 @@ func RunOpts(g *graph.Graph, m cost.Model, s *sched.Schedule, opt Options) (*Tra
 		tr.Stages = append(tr.Stages, StageRecord{
 			GPU: gpu, Index: next[gpu], Ops: ops, Start: start, Finish: finish,
 		})
-		h.push(event{at: finish, kind: 0, seq: seq, gpu: gpu})
-		seq++
+		h.Push(finish, event{kind: 0, gpu: gpu})
 	}
 
 	for gpu := range s.GPUs {
@@ -278,8 +205,8 @@ func RunOpts(g *graph.Graph, m cost.Model, s *sched.Schedule, opt Options) (*Tra
 	done := 0
 	total := s.NumStages()
 	for h.Len() > 0 {
-		ev := h.pop()
-		now = ev.at
+		var ev event
+		now, ev = h.Pop()
 		switch ev.kind {
 		case 0: // stage finished on ev.gpu
 			stage := s.GPUs[ev.gpu].Stages[next[ev.gpu]]
@@ -301,8 +228,7 @@ func RunOpts(g *graph.Graph, m cost.Model, s *sched.Schedule, opt Options) (*Tra
 						FromGPU: x.fromGPU, ToGPU: x.toGPU,
 						Depart: depart, Arrive: arrive,
 					})
-					h.push(event{at: arrive, kind: 1, seq: seq, xfer: xi})
-					seq++
+					h.Push(arrive, event{kind: 1, xfer: xi})
 				}
 			}
 			if now > tr.Latency {
@@ -323,7 +249,7 @@ func RunOpts(g *graph.Graph, m cost.Model, s *sched.Schedule, opt Options) (*Tra
 		return nil, fmt.Errorf("sim: deadlock, %d of %d stages executed: %w", done, total, graph.ErrCycle)
 	}
 	sort.Slice(tr.Stages, func(i, j int) bool {
-		// Exact IEEE inequality: see eventHeap.Less.
+		// Exact IEEE inequality: see des.EventHeap.less.
 		if tr.Stages[i].Start != tr.Stages[j].Start { //lint:floatexact comparator tie-break: epsilon would break the strict weak order
 			return tr.Stages[i].Start < tr.Stages[j].Start
 		}
