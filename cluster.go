@@ -119,6 +119,28 @@ func ClusterProfileOf(platform string, m ServeModel) ClusterProfile {
 	return serve.ProfileOf(platform, m)
 }
 
+// TenantMix is the default two-tenant workload of hios-serve,
+// hios-cluster and the Serve1/Serve2 figures: an interactive tenant with
+// a deadline of 4x latency taking 60% of rate req/s and a batch tenant
+// with 12x taking the other 40%.
+func TenantMix(latency Millis, rate float64) []ClusterTenant { return cluster.TenantMix(latency, rate) }
+
+// FleetDeployment schedules the named model (see BuildModel) once per
+// platform preset with the given algorithm and options and collects the
+// per-platform serving profiles into one fleet-wide deployment, exactly
+// as the Serve2 sweep builds its SqueezeNet deployment.
+func FleetDeployment(name string, size int, algo Algorithm, opt Options) (ClusterDeployment, error) {
+	if err := opt.Validate(algo); err != nil {
+		return ClusterDeployment{}, err
+	}
+	return experiments.FleetDeployment(name, size, string(algo), opt.runConfig())
+}
+
+// PresetFleet returns the n-node fleet of the Serve2 sweep: node i runs
+// platform preset i mod len(ClusterPresets()) with the given initial
+// replicas.
+func PresetFleet(n, replicas int) FleetSpec { return experiments.PresetFleet(n, replicas) }
+
 // ClusterServe runs one fleet-scale serving simulation: seeded
 // arrivals, gateway admission and routing, per-pool dispatch, replica
 // autoscaling. The same options always produce the same report

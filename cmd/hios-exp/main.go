@@ -19,27 +19,48 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	hios "github.com/shus-lab/hios"
+	"github.com/shus-lab/hios/cmd/internal/cli"
+)
+
+var (
+	fig       = flag.String("fig", "all", "figure to regenerate: 1, 2, 12, 13, 14 or all")
+	modelName = flag.String("model", "both", "benchmark for figs 12/14: inception, nasnet or both")
+	sizesFlag = flag.String("sizes", "", "comma-separated input sizes (default: paper sweep)")
 )
 
 func main() {
-	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 1, 2, 12, 13, 14 or all")
-		modelName = flag.String("model", "both", "benchmark for figs 12/14: inception, nasnet or both")
-		sizesFlag = flag.String("sizes", "", "comma-separated input sizes (default: paper sweep)")
-	)
 	flag.Parse()
+	cli.Main("hios-exp", run)
+}
 
-	sizes, err := parseSizes(*sizesFlag)
+// show prints a figure as a results table followed by a blank line.
+func show(f hios.Figure) {
+	f.Render(os.Stdout)
+	fmt.Println()
+}
+
+func run() error {
+	sizes, err := cli.Ints(*sizesFlag, "size")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	benchmarks, err := pickBenchmarks(*modelName)
-	if err != nil {
-		fatal(err)
+	for _, v := range sizes {
+		if v <= 0 {
+			return fmt.Errorf("bad size %d", v)
+		}
+	}
+	// -model names a benchmark by its zoo name, the prefix of its label.
+	var benchmarks []hios.Benchmark
+	for _, b := range []hios.Benchmark{hios.InceptionBenchmark, hios.NASNetBenchmark} {
+		if *modelName == "both" || strings.HasPrefix(string(b), *modelName+"-") {
+			benchmarks = append(benchmarks, b)
+		}
+	}
+	if len(benchmarks) == 0 {
+		return fmt.Errorf("unknown model %q (want inception, nasnet or both)", *modelName)
 	}
 
 	want := func(id string) bool { return *fig == "all" || *fig == id }
@@ -47,140 +68,82 @@ func main() {
 
 	if want("1") {
 		ran = true
-		f := hios.Fig1()
-		f.Render(os.Stdout)
-		fmt.Println()
+		show(hios.Fig1())
 	}
 	if want("2") {
 		ran = true
-		f := hios.Fig2()
-		f.Render(os.Stdout)
-		fmt.Println()
+		show(hios.Fig2())
 	}
 	if want("12") {
 		ran = true
 		for _, b := range benchmarks {
 			f, err := hios.Fig12(b, sizes)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			f.Render(os.Stdout)
-			fmt.Println()
+			show(f)
 		}
 	}
 	if want("13") {
 		ran = true
 		f, labels, err := hios.Fig13()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("# scenarios: %s\n", strings.Join(labels, ", "))
-		f.Render(os.Stdout)
-		fmt.Println()
+		show(f)
 	}
 	if want("14") {
 		ran = true
 		for _, b := range benchmarks {
 			f, err := hios.Fig14(b, sizes)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			f.Render(os.Stdout)
-			fmt.Println()
+			show(f)
 		}
 	}
 	if want("ablation") {
 		ran = true
-		runAblations()
+		if err := runAblations(); err != nil {
+			return err
+		}
 	}
 	if !ran {
-		fatal(fmt.Errorf("unknown figure %q (want 1, 2, 12, 13, 14, ablation or all)", *fig))
+		return fmt.Errorf("unknown figure %q (want 1, 2, 12, 13, 14, ablation or all)", *fig)
 	}
+	return nil
 }
 
-// runAblations prints the four ablation studies of DESIGN.md: window
-// size, IOS pruning, link contention, and the §VI-E NCCL what-if.
-func runAblations() {
-	opt := hios.SimOptions{Seeds: 5, GPUs: 4}
-	if err := opt.Validate(); err != nil {
-		fatal(err)
+// runAblations prints the ablation studies of DESIGN.md: window size,
+// IOS pruning, link contention, the §VI-E NCCL what-if, the optimality
+// gap, the two-level cluster topology and the intra-GPU pass.
+func runAblations() error {
+	sim := func(seeds int) hios.SimOptions { return hios.SimOptions{Seeds: seeds, GPUs: 4} }
+	studies := []struct {
+		note string
+		run  func() (hios.Figure, error)
+	}{
+		{"", func() (hios.Figure, error) { return hios.AblationWindow(sim(5)) }},
+		{"", func() (hios.Figure, error) { return hios.AblationIOSPruning(sim(3)) }},
+		{"# x: 0 = contention-free links (cost model), 1 = serialized NVLink bridge (testbed)",
+			func() (hios.Figure, error) { return hios.AblationLinkContention(hios.InceptionBenchmark, 1024) }},
+		{"# x: 0 = CUDA-aware MPI transfers, 1 = NCCL-style transfers (launch hiding)",
+			func() (hios.Figure, error) { return hios.NCCLOverlap(hios.NASNetBenchmark, 331) }},
+		{"", func() (hios.Figure, error) { return hios.OptimalityGap(10, 18) }},
+		{"", func() (hios.Figure, error) { return hios.ClusterStudy(sim(5)) }},
+		{"# x: 0 = inter-GPU only, 1 = Algorithm 2 window, 2 = per-GPU exact IOS (cross-GPU blind)",
+			func() (hios.Figure, error) { return hios.AblationIntraGPU(sim(5)) }},
 	}
-	if f, err := hios.AblationWindow(opt); err != nil {
-		fatal(err)
-	} else {
-		f.Render(os.Stdout)
-		fmt.Println()
-	}
-	if f, err := hios.AblationIOSPruning(hios.SimOptions{Seeds: 3, GPUs: 4}); err != nil {
-		fatal(err)
-	} else {
-		f.Render(os.Stdout)
-		fmt.Println()
-	}
-	if f, err := hios.AblationLinkContention(hios.InceptionBenchmark, 1024); err != nil {
-		fatal(err)
-	} else {
-		fmt.Println("# x: 0 = contention-free links (cost model), 1 = serialized NVLink bridge (testbed)")
-		f.Render(os.Stdout)
-		fmt.Println()
-	}
-	if f, err := hios.NCCLOverlap(hios.NASNetBenchmark, 331); err != nil {
-		fatal(err)
-	} else {
-		fmt.Println("# x: 0 = CUDA-aware MPI transfers, 1 = NCCL-style transfers (launch hiding)")
-		f.Render(os.Stdout)
-		fmt.Println()
-	}
-	if f, err := hios.OptimalityGap(10, 18); err != nil {
-		fatal(err)
-	} else {
-		f.Render(os.Stdout)
-		fmt.Println()
-	}
-	if f, err := hios.ClusterStudy(hios.SimOptions{Seeds: 5, GPUs: 4}); err != nil {
-		fatal(err)
-	} else {
-		f.Render(os.Stdout)
-		fmt.Println()
-	}
-	if f, err := hios.AblationIntraGPU(hios.SimOptions{Seeds: 5, GPUs: 4}); err != nil {
-		fatal(err)
-	} else {
-		fmt.Println("# x: 0 = inter-GPU only, 1 = Algorithm 2 window, 2 = per-GPU exact IOS (cross-GPU blind)")
-		f.Render(os.Stdout)
-		fmt.Println()
-	}
-}
-
-func parseSizes(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad size %q", part)
+	for _, s := range studies {
+		f, err := s.run()
+		if err != nil {
+			return err
 		}
-		out = append(out, v)
+		if s.note != "" {
+			fmt.Println(s.note)
+		}
+		show(f)
 	}
-	return out, nil
-}
-
-func pickBenchmarks(name string) ([]hios.Benchmark, error) {
-	switch name {
-	case "inception":
-		return []hios.Benchmark{hios.InceptionBenchmark}, nil
-	case "nasnet":
-		return []hios.Benchmark{hios.NASNetBenchmark}, nil
-	case "both":
-		return []hios.Benchmark{hios.InceptionBenchmark, hios.NASNetBenchmark}, nil
-	default:
-		return nil, fmt.Errorf("unknown model %q (want inception, nasnet or both)", name)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hios-exp:", err)
-	os.Exit(1)
+	return nil
 }

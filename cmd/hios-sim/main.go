@@ -16,36 +16,38 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	hios "github.com/shus-lab/hios"
+	"github.com/shus-lab/hios/cmd/internal/cli"
+)
+
+var (
+	fig    = flag.String("fig", "all", "figure to regenerate: 7, 8, 9, 9adj, 10, 11 or all")
+	seeds  = flag.Int("seeds", 30, "random instances per data point")
+	gpus   = flag.Int("gpus", 4, "GPU count for the fixed-GPU sweeps")
+	window = flag.Int("window", 0, "max sliding-window size (0 = default)")
+	asJSON = flag.Bool("json", false, "emit figures as JSON instead of tables")
+
+	workers    = flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+	iosWorkers = flag.Int("ios-workers", 0, "concurrent IOS block solves per scheduler run (0/1 = serial)")
 )
 
 func main() {
-	var (
-		fig    = flag.String("fig", "all", "figure to regenerate: 7, 8, 9, 9adj, 10, 11 or all")
-		seeds  = flag.Int("seeds", 30, "random instances per data point")
-		gpus   = flag.Int("gpus", 4, "GPU count for the fixed-GPU sweeps")
-		window = flag.Int("window", 0, "max sliding-window size (0 = default)")
-		asJSON = flag.Bool("json", false, "emit figures as JSON instead of tables")
-
-		workers    = flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		iosWorkers = flag.Int("ios-workers", 0, "concurrent IOS block solves per scheduler run (0/1 = serial)")
-	)
 	flag.Parse()
+	cli.Main("hios-sim", run)
+}
 
+func run() error {
 	opt := hios.SimOptions{Seeds: *seeds, GPUs: *gpus, Window: *window,
 		Workers: *workers, IOSWorkers: *iosWorkers}
 	if err := opt.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "hios-sim:", err)
-		os.Exit(1)
+		return err
 	}
-	type driver struct {
+	drivers := []struct {
 		id string
 		fn func(hios.SimOptions) (hios.Figure, error)
-	}
-	drivers := []driver{
+	}{
 		{"7", hios.Fig7},
 		{"8", hios.Fig8},
 		{"9", hios.Fig9},
@@ -61,21 +63,17 @@ func main() {
 		ran = true
 		f, err := d.fn(opt)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hios-sim:", err)
-			os.Exit(1)
+			return err
 		}
-		if *asJSON {
-			if err := f.RenderJSON(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "hios-sim:", err)
-				os.Exit(1)
-			}
-		} else {
-			f.Render(os.Stdout)
+		if err := cli.Figure(f, *asJSON); err != nil {
+			return err
+		}
+		if !*asJSON {
 			fmt.Println()
 		}
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "hios-sim: unknown figure %q (want 7, 8, 9, 9adj, 10, 11 or all)\n", *fig)
-		os.Exit(1)
+		return fmt.Errorf("unknown figure %q (want 7, 8, 9, 9adj, 10, 11 or all)", *fig)
 	}
+	return nil
 }

@@ -24,10 +24,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/costcache"
 	"github.com/shus-lab/hios/internal/dpcache"
+	"github.com/shus-lab/hios/internal/experiments"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/memory"
@@ -38,10 +40,7 @@ import (
 	"github.com/shus-lab/hios/internal/runtime"
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/ios"
-	"github.com/shus-lab/hios/internal/sched/lp"
-	"github.com/shus-lab/hios/internal/sched/mr"
 	"github.com/shus-lab/hios/internal/sched/refine"
-	"github.com/shus-lab/hios/internal/sched/seq"
 	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/sim"
 	"github.com/shus-lab/hios/internal/trace"
@@ -225,9 +224,7 @@ func (a Algorithm) multiGPU() bool {
 // driver route their checking through here, so the rules live in one
 // place and callers can errors.Is-match the failure.
 func (o Options) Validate(algo Algorithm) error {
-	switch algo {
-	case Sequential, IOS, HIOSLP, HIOSMR, InterLP, InterMR:
-	default:
+	if !slices.Contains(Algorithms(), algo) {
 		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownAlgorithm, string(algo), Algorithms())
 	}
 	if algo.multiGPU() && o.GPUs < 1 {
@@ -253,19 +250,16 @@ func Optimize(g *Graph, m CostModel, algo Algorithm, opt Options) (Result, error
 	if g == nil || m == nil {
 		return Result{}, fmt.Errorf("%w: Optimize needs a graph and a cost model", ErrNilInput)
 	}
-	switch algo {
-	case Sequential:
-		return seq.Schedule(g, m)
-	case IOS:
-		return ios.Schedule(g, m, ios.Options{MaxStage: opt.IOSMaxStage, PruneWindow: opt.IOSPruneWindow, Workers: opt.IOSWorkers})
-	case HIOSLP:
-		return lp.Schedule(g, m, lp.Options{GPUs: opt.GPUs, Window: opt.Window})
-	case HIOSMR:
-		return mr.Schedule(g, m, mr.Options{GPUs: opt.GPUs, Window: opt.Window})
-	case InterLP:
-		return lp.Schedule(g, m, lp.Options{GPUs: opt.GPUs, InterOnly: true})
-	default: // InterMR; Validate rejected everything else
-		return mr.Schedule(g, m, mr.Options{GPUs: opt.GPUs, InterOnly: true})
+	return experiments.Run(string(algo), g, m, opt.runConfig())
+}
+
+// runConfig converts validated options to the configuration of
+// experiments.Run, the one algorithm dispatch.
+func (o Options) runConfig() experiments.RunConfig {
+	return experiments.RunConfig{
+		GPUs:   o.GPUs,
+		Window: o.Window,
+		IOS:    ios.Options{MaxStage: o.IOSMaxStage, PruneWindow: o.IOSPruneWindow, Workers: o.IOSWorkers},
 	}
 }
 
@@ -452,31 +446,43 @@ func WriteDOT(w io.Writer, g *Graph, s *Schedule) error {
 // InceptionV3 builds the Inception-v3 benchmark at a square input size on
 // the platform's device and interconnect.
 func InceptionV3(p Platform, inputSize int) *Net {
-	return model.InceptionV3(p.Dev, p.Link, inputSize)
+	return model.Must(model.InceptionV3(p.Dev, p.Link, inputSize))
 }
 
 // NASNetA builds the NASNet-A benchmark at a square input size.
 func NASNetA(p Platform, inputSize int) *Net {
-	return model.NASNet(p.Dev, p.Link, inputSize)
+	return model.Must(model.NASNet(p.Dev, p.Link, inputSize))
 }
 
 // SqueezeNet builds SqueezeNet v1.1 at a square input size (canonical
 // 224): the shallow, fire-module benchmark of the IOS paper's suite.
 func SqueezeNet(p Platform, inputSize int) *Net {
-	return model.SqueezeNet(p.Dev, p.Link, inputSize)
+	return model.Must(model.SqueezeNet(p.Dev, p.Link, inputSize))
 }
 
 // ResNet50 builds ResNet-50 at a square input size (canonical 224): the
 // near-chain control case where inter-operator parallelism has little to
 // exploit.
 func ResNet50(p Platform, inputSize int) *Net {
-	return model.ResNet50(p.Dev, p.Link, inputSize)
+	return model.Must(model.ResNet50(p.Dev, p.Link, inputSize))
 }
 
 // RandWireNet builds a randomly wired CNN (Xie et al., ICCV 2019), the
 // most irregular benchmark of the IOS suite.
 func RandWireNet(p Platform, cfg RandWireConfig) (*Net, error) {
 	return model.RandWire(p.Dev, p.Link, cfg)
+}
+
+// BuildModel builds a model of the zoo by name — inception, nasnet,
+// squeezenet, resnet50, randwire or random, or a benchmark label such as
+// inception-v3 — on a platform at a square input size (0 selects the
+// model's default). random shapes the random layered model, which the
+// generator prices independently of the platform; its Seed also wires
+// randwire. Unlike the fixed builders above, an unknown name, an input
+// size the architecture cannot shrink to, or an invalid random config is
+// an error.
+func BuildModel(p Platform, name string, size int, random RandomModelConfig) (*Net, error) {
+	return model.Build(p, name, size, random)
 }
 
 // DefaultRandWire returns a small randomly-wired configuration.

@@ -60,6 +60,17 @@ type Tenant struct {
 	Think units.Millis
 }
 
+// TenantMix is the two-tenant workload of the serving figures and of the
+// serving CLIs' defaults: an interactive tenant with a tight SLO (4x the
+// reference latency) taking 60% of rate req/s and a batch tenant with a
+// loose SLO (12x) taking the other 40%.
+func TenantMix(latency units.Millis, rate float64) []Tenant {
+	return []Tenant{
+		{Name: "interactive", Deadline: latency.Scale(4), Rate: 0.6 * rate},
+		{Name: "batch", Deadline: latency.Scale(12), Rate: 0.4 * rate},
+	}
+}
+
 // CheckTenant reports the first structural violation of a tenant
 // sharing models deployments as a plain error; the Validate methods of
 // this package and of internal/serve wrap it in their ErrBadTenant.
@@ -246,6 +257,17 @@ type Deployment struct {
 	// Profiles holds one Profile per platform, in any order; Validate
 	// requires one for every platform in the fleet.
 	Profiles []Profile
+}
+
+// MinLatency is the lowest single-request latency over the deployment's
+// profiles, the reference its default SLOs scale from. It needs at least
+// one profile.
+func (d Deployment) MinLatency() units.Millis {
+	lat := d.Profiles[0].Latency
+	for _, p := range d.Profiles[1:] {
+		lat = min(lat, p.Latency)
+	}
+	return lat
 }
 
 // profile returns the deployment's profile for the platform key.

@@ -5,13 +5,13 @@ import (
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/gpu"
-	"github.com/shus-lab/hios/internal/parallel"
+	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/randdag"
+	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/ios"
 	"github.com/shus-lab/hios/internal/sched/lp"
 	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/sim"
-	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -30,51 +30,10 @@ import (
 // foreclose a better pair of narrow ones), which is itself a finding
 // worth having on record.
 func AblationWindow(opt SimOptions) (Figure, error) {
-	opt.fill()
-	ws := []float64{1, 2, 3, 4, 6, 8}
-	fig := Figure{
-		ID:     "AblationWindow",
-		Title:  "HIOS-LP latency vs sliding-window size w",
-		XLabel: "window",
-		YLabel: "latency_ms",
-	}
-	samples := make([]*stats.Sample, len(ws))
-	for i := range samples {
-		samples[i] = &stats.Sample{}
-	}
-	rows, err := parallel.Map(opt.Seeds, opt.Workers, func(t int) ([]float64, error) {
-		seed := int64(t) + 1
-		cfg := randdag.Paper()
-		cfg.Seed = seed
-		g, err := randdag.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m := cost.FromGraph(g, cost.DefaultContention())
-		lats := make([]float64, len(ws))
-		for i, w := range ws {
-			o := lp.Options{GPUs: opt.GPUs, Window: int(w)}
-			if int(w) == 1 {
-				o.InterOnly = true
-			}
-			res, err := lp.Schedule(g, m, o)
-			if err != nil {
-				return nil, fmt.Errorf("ablation window w=%g seed=%d: %w", w, seed, err)
-			}
-			lats[i] = float64(res.Latency)
-		}
-		return lats, nil
+	fig := Figure{ID: "AblationWindow", Title: "HIOS-LP latency vs sliding-window size w", XLabel: "window", YLabel: "latency_ms"}
+	return paramSweep(fig, AlgoHIOSLP, []float64{1, 2, 3, 4, 6, 8}, opt, func(g *graph.Graph, m cost.Model, w int) (sched.Result, error) {
+		return lp.Schedule(g, m, lp.Options{GPUs: opt.GPUs, Window: w, InterOnly: w == 1})
 	})
-	if err != nil {
-		return Figure{}, err
-	}
-	for _, lats := range rows {
-		for i := range ws {
-			samples[i].Add(lats[i])
-		}
-	}
-	fig.Series = []Series{collect(AlgoHIOSLP, ws, samples)}
-	return fig, nil
 }
 
 // AblationIOSPruning sweeps IOS's schedule-pruning aggressiveness (the
@@ -82,32 +41,28 @@ func AblationWindow(opt SimOptions) (Figure, error) {
 // and how close narrow pruning stays to the widest setting — the
 // latency/scheduling-cost trade-off of Ding et al.'s pruning strategy.
 func AblationIOSPruning(opt SimOptions) (Figure, error) {
+	fig := Figure{ID: "AblationIOSPruning", Title: "IOS latency vs prune-window r", XLabel: "prune_window", YLabel: "latency_ms"}
+	return paramSweep(fig, AlgoIOS, []float64{2, 4, 6, 8, 10}, opt, func(g *graph.Graph, m cost.Model, r int) (sched.Result, error) {
+		return ios.Schedule(g, m, ios.Options{PruneWindow: r})
+	})
+}
+
+// paramSweep fills fig with one series, label, of the mean latency run
+// achieves at each parameter value in xs over opt.Seeds paper-default
+// random models.
+func paramSweep(fig Figure, label string, xs []float64, opt SimOptions,
+	run func(g *graph.Graph, m cost.Model, x int) (sched.Result, error)) (Figure, error) {
 	opt.fill()
-	rs := []float64{2, 4, 6, 8, 10}
-	fig := Figure{
-		ID:     "AblationIOSPruning",
-		Title:  "IOS latency vs prune-window r",
-		XLabel: "prune_window",
-		YLabel: "latency_ms",
-	}
-	samples := make([]*stats.Sample, len(rs))
-	for i := range samples {
-		samples[i] = &stats.Sample{}
-	}
-	rows, err := parallel.Map(opt.Seeds, opt.Workers, func(t int) ([]float64, error) {
-		seed := int64(t) + 1
-		cfg := randdag.Paper()
-		cfg.Seed = seed
-		g, err := randdag.Generate(cfg)
+	samples, err := seedGrid(1, opt.Seeds, opt.Workers, len(xs), func(_ int, seed int64) ([]float64, error) {
+		g, m, err := paperModel(seed)
 		if err != nil {
 			return nil, err
 		}
-		m := cost.FromGraph(g, cost.DefaultContention())
-		lats := make([]float64, len(rs))
-		for i, r := range rs {
-			res, err := ios.Schedule(g, m, ios.Options{PruneWindow: int(r)})
+		lats := make([]float64, len(xs))
+		for i, x := range xs {
+			res, err := run(g, m, int(x))
 			if err != nil {
-				return nil, fmt.Errorf("ablation ios r=%g seed=%d: %w", r, seed, err)
+				return nil, fmt.Errorf("%s %s=%g seed=%d: %w", fig.ID, fig.XLabel, x, seed, err)
 			}
 			lats[i] = float64(res.Latency)
 		}
@@ -116,12 +71,7 @@ func AblationIOSPruning(opt SimOptions) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	for _, lats := range rows {
-		for i := range rs {
-			samples[i].Add(lats[i])
-		}
-	}
-	fig.Series = []Series{collect(AlgoIOS, rs, samples)}
+	fig.Series = []Series{collect(label, xs, firstPoint(samples))}
 	return fig, nil
 }
 
@@ -203,6 +153,18 @@ func NCCLOverlap(b Benchmark, size int) (Figure, error) {
 	return fig, nil
 }
 
+// paperModel generates the §V-A paper-default random model of a seed
+// with its default-contention cost model.
+func paperModel(seed int64) (*graph.Graph, cost.Model, error) {
+	cfg := randdag.Paper()
+	cfg.Seed = seed
+	g, err := randdag.Generate(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, cost.FromGraph(g, cost.DefaultContention()), nil
+}
+
 // ncclLink models an NVLink bridge driven by NCCL: the same bandwidth
 // with the MPI software latency almost eliminated (launch hiding).
 func ncclLink() gpu.Link {
@@ -227,44 +189,32 @@ func AblationIntraGPU(opt SimOptions) (Figure, error) {
 		YLabel: "latency_ms",
 	}
 	labels := []string{"none", "algorithm-2", "per-gpu-ios"}
-	samples := make([]*stats.Sample, len(labels))
-	for i := range samples {
-		samples[i] = &stats.Sample{}
-	}
-	rows, err := parallel.Map(opt.Seeds, opt.Workers, func(t int) ([3]float64, error) {
-		cfg := randdag.Paper()
-		cfg.Seed = int64(t) + 1
-		g, err := randdag.Generate(cfg)
+	samples, err := seedGrid(1, opt.Seeds, opt.Workers, len(labels), func(_ int, seed int64) ([]float64, error) {
+		g, m, err := paperModel(seed)
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
-		m := cost.FromGraph(g, cost.DefaultContention())
 		inter, err := lp.Schedule(g, m, lp.Options{GPUs: opt.GPUs, InterOnly: true})
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
 		alg2, err := window.Parallelize(g, m, inter.Schedule, window.DefaultSize)
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
 		perGPU, err := window.ExactPerGPU(g, m, inter.Schedule, ios.Options{})
 		if err != nil {
-			return [3]float64{}, err
+			return nil, err
 		}
-		return [3]float64{float64(inter.Latency), float64(alg2.Latency), float64(perGPU.Latency)}, nil
+		return []float64{float64(inter.Latency), float64(alg2.Latency), float64(perGPU.Latency)}, nil
 	})
 	if err != nil {
 		return Figure{}, err
 	}
-	for _, lats := range rows {
-		for i := range samples {
-			samples[i].Add(lats[i])
-		}
-	}
 	for i, l := range labels {
 		fig.Series = append(fig.Series, Series{
 			Label:  l,
-			Points: []Point{{X: float64(i), Mean: samples[i].Mean(), Std: samples[i].Std()}},
+			Points: []Point{{X: float64(i), Mean: samples[i][0].Mean(), Std: samples[i][0].Std()}},
 		})
 	}
 	return fig, nil

@@ -3,11 +3,8 @@ package experiments
 import (
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/gpu"
-	"github.com/shus-lab/hios/internal/parallel"
-	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/lp"
-	"github.com/shus-lab/hios/internal/stats"
 )
 
 // ClusterStudy extends the paper's SMP setting to the multi-node clusters
@@ -30,57 +27,41 @@ func ClusterStudy(opt SimOptions) (Figure, error) {
 		XLabel: "inter_node_factor",
 		YLabel: "latency_ms",
 	}
-	aware := make([]*stats.Sample, len(factors))
-	blind := make([]*stats.Sample, len(factors))
-	for i := range factors {
-		aware[i] = &stats.Sample{}
-		blind[i] = &stats.Sample{}
-	}
-	type row struct {
-		aware, blind []float64
-	}
-	rows, err := parallel.Map(opt.Seeds, opt.Workers, func(t int) (row, error) {
-		cfg := randdag.Paper()
-		cfg.Seed = int64(t) + 1
-		g, err := randdag.Generate(cfg)
+	// Each seed's cell returns the aware latency at every factor, then
+	// the blind one.
+	samples, err := seedGrid(1, opt.Seeds, opt.Workers, 2*len(factors), func(_ int, seed int64) ([]float64, error) {
+		g, flat, err := paperModel(seed)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		flat := cost.FromGraph(g, cost.DefaultContention())
 		// Blind: one schedule decided on the flat model, reused at
 		// every factor (the scheduler does not know the topology).
 		blindRes, err := lp.Schedule(g, flat, lp.Options{GPUs: nodes * perNode})
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		r := row{aware: make([]float64, len(factors)), blind: make([]float64, len(factors))}
+		lats := make([]float64, 2*len(factors))
 		for i, f := range factors {
 			topo := cost.WithTopology(flat, gpu.TwoLevel(nodes, perNode, f))
 			awareRes, err := lp.Schedule(g, topo, lp.Options{GPUs: nodes * perNode})
 			if err != nil {
-				return row{}, err
+				return nil, err
 			}
-			r.aware[i] = float64(awareRes.Latency)
 			blindLat, err := sched.Latency(g, topo, blindRes.Schedule)
 			if err != nil {
-				return row{}, err
+				return nil, err
 			}
-			r.blind[i] = float64(blindLat)
+			lats[i], lats[len(factors)+i] = float64(awareRes.Latency), float64(blindLat)
 		}
-		return r, nil
+		return lats, nil
 	})
 	if err != nil {
 		return Figure{}, err
 	}
-	for _, r := range rows {
-		for i := range factors {
-			aware[i].Add(r.aware[i])
-			blind[i].Add(r.blind[i])
-		}
-	}
+	perFactor := firstPoint(samples)
 	fig.Series = []Series{
-		collect("hios-lp-topology-aware", factors, aware),
-		collect("hios-lp-topology-blind", factors, blind),
+		collect("hios-lp-topology-aware", factors, perFactor[:len(factors)]),
+		collect("hios-lp-topology-blind", factors, perFactor[len(factors):]),
 	}
 	return fig, nil
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"strings"
 
+	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/stats"
 )
 
@@ -116,4 +117,58 @@ func collect(label string, xs []float64, samples []*stats.Sample) Series {
 		s.Points = append(s.Points, Point{X: x, Mean: samples[i].Mean(), Std: samples[i].Std()})
 	}
 	return s
+}
+
+// addSeries appends one collected series per label to f; samples is
+// indexed [series][x] as seedGrid returns it.
+func addSeries[L ~string](f *Figure, labels []L, xs []float64, samples [][]*stats.Sample) {
+	for si, label := range labels {
+		f.Series = append(f.Series, collect(string(label), xs, samples[si]))
+	}
+}
+
+// floats converts integer x positions (input sizes, fleet sizes).
+func floats(ns []int) []float64 {
+	xs := make([]float64, len(ns))
+	for i, n := range ns {
+		xs[i] = float64(n)
+	}
+	return xs
+}
+
+// seedGrid runs cell on the deterministic worker pool once per (point,
+// seed) pair — task t is point t/seeds with seed t%seeds+1 — and adds
+// the i-th value a cell returns to samples[i][point]. The merge is serial
+// in task order, the accumulation order of the single-threaded loop, so
+// every figure built on it is byte-identical at any pool width.
+func seedGrid(points, seeds, workers, series int, cell func(point int, seed int64) ([]float64, error)) ([][]*stats.Sample, error) {
+	cells, err := parallel.Map(points*seeds, workers, func(t int) ([]float64, error) {
+		return cell(t/seeds, int64(t%seeds)+1)
+	})
+	if err != nil {
+		return nil, err
+	}
+	samples := make([][]*stats.Sample, series)
+	for si := range samples {
+		samples[si] = make([]*stats.Sample, points)
+		for i := range samples[si] {
+			samples[si][i] = &stats.Sample{}
+		}
+	}
+	for t, vals := range cells {
+		for si, v := range vals {
+			samples[si][t/seeds].Add(v)
+		}
+	}
+	return samples, nil
+}
+
+// firstPoint gathers each series' sample at point 0: the per-x samples
+// of a study whose cells return one value per x.
+func firstPoint(samples [][]*stats.Sample) []*stats.Sample {
+	out := make([]*stats.Sample, len(samples))
+	for i, s := range samples {
+		out[i] = s[0]
+	}
+	return out
 }

@@ -8,10 +8,9 @@ import (
 	"github.com/shus-lab/hios/internal/costcache"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/model"
-	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/profile"
+	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sim"
-	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -94,27 +93,17 @@ const (
 // DefaultSizes returns the input-size sweep of Fig. 12 for a benchmark:
 // from the model's default size up to 2^K pixels.
 func DefaultSizes(b Benchmark) []int {
-	switch b {
-	case Inception:
-		return []int{299, 512, 1024, 2048}
-	case NASNet:
-		return []int{331, 512, 1024, 2048}
-	default:
+	size := model.DefaultSize(string(b))
+	if size == 0 {
 		return nil
 	}
+	return []int{size, 512, 1024, 2048}
 }
 
 // BuildBenchmark constructs a benchmark network at an input size on a
 // platform.
 func BuildBenchmark(b Benchmark, p gpu.Platform, size int) (*model.Net, error) {
-	switch b {
-	case Inception:
-		return model.InceptionV3(p.Dev, p.Link, size), nil
-	case NASNet:
-		return model.NASNet(p.Dev, p.Link, size), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown benchmark %q", b)
-	}
+	return model.Build(p, string(b), size, randdag.Config{})
 }
 
 // Fig12 reproduces Fig. 12: actual inference latency of one benchmark
@@ -131,52 +120,38 @@ func fig12(b Benchmark, sizes []int, workers int) (Figure, error) {
 	if sizes == nil {
 		sizes = DefaultSizes(b)
 	}
-	plat := gpu.DualA40()
+	samples, err := seedGrid(len(sizes), 1, workers, len(RealSystemAlgorithms), func(i int, _ int64) ([]float64, error) {
+		return measureAll(RealSystemAlgorithms, b, sizes[i])
+	})
+	if err != nil {
+		return Figure{}, fmt.Errorf("Fig12: %w", err)
+	}
 	fig := Figure{
 		ID:     "Fig12-" + string(b),
-		Title:  fmt.Sprintf("inference latency of %s on %s", b, plat.Name),
+		Title:  fmt.Sprintf("inference latency of %s on %s", b, gpu.DualA40().Name),
 		XLabel: "input_size",
 		YLabel: "latency_ms",
 	}
-	samples := make(map[string][]*stats.Sample)
-	xs := make([]float64, len(sizes))
-	for i, s := range sizes {
-		xs[i] = float64(s)
-	}
-	for _, a := range RealSystemAlgorithms {
-		samples[a] = make([]*stats.Sample, len(sizes))
-		for i := range sizes {
-			samples[a][i] = &stats.Sample{}
-		}
-	}
-	cells, err := parallel.Map(len(sizes), workers, func(i int) ([]float64, error) {
-		net, err := BuildBenchmark(b, plat, sizes[i])
-		if err != nil {
-			return nil, err
-		}
-		m := cost.FromGraph(net.G, cost.DefaultContention())
-		lats := make([]float64, len(RealSystemAlgorithms))
-		for ai, a := range RealSystemAlgorithms {
-			lat, err := measure(a, net, m, plat.GPUs)
-			if err != nil {
-				return nil, fmt.Errorf("Fig12 %s %s@%d: %w", a, b, sizes[i], err)
-			}
-			lats[ai] = lat
-		}
-		return lats, nil
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	for i, lats := range cells {
-		for ai, a := range RealSystemAlgorithms {
-			samples[a][i].Add(lats[ai])
-		}
-	}
-	for _, a := range RealSystemAlgorithms {
-		fig.Series = append(fig.Series, collect(a, xs, samples[a]))
-	}
+	addSeries(&fig, RealSystemAlgorithms, floats(sizes), samples)
 	return fig, nil
+}
+
+// measureAll builds a benchmark at an input size on the dual-A40
+// platform and measures every algorithm on it.
+func measureAll(algos []string, b Benchmark, size int) ([]float64, error) {
+	plat := gpu.DualA40()
+	net, err := BuildBenchmark(b, plat, size)
+	if err != nil {
+		return nil, err
+	}
+	m := cost.FromGraph(net.G, cost.DefaultContention())
+	lats := make([]float64, len(algos))
+	for ai, a := range algos {
+		if lats[ai], err = measure(a, net, m, plat.GPUs); err != nil {
+			return nil, fmt.Errorf("%s %s@%d: %w", a, b, size, err)
+		}
+	}
+	return lats, nil
 }
 
 // measure produces the "actual inference latency" of a schedule the way
@@ -207,18 +182,25 @@ func Fig13() (Figure, []string, error) { return fig13(0) }
 // sizes; the index-ordered merge keeps the figure byte-identical at any
 // pool width.
 func fig13(workers int) (Figure, []string, error) {
-	plat := gpu.DualA40()
-	type scenario struct {
-		b    Benchmark
-		size int
+	var (
+		bs     []Benchmark
+		sizes  []int
+		labels []string
+		xs     []float64
+	)
+	for _, b := range []Benchmark{Inception, NASNet} {
+		def := DefaultSizes(b)
+		for _, size := range []int{def[0], def[len(def)-1]} {
+			xs = append(xs, float64(len(bs)))
+			bs, sizes = append(bs, b), append(sizes, size)
+			labels = append(labels, fmt.Sprintf("%s@%d", b, size))
+		}
 	}
-	scenarios := []scenario{
-		{Inception, 299}, {Inception, 2048},
-		{NASNet, 331}, {NASNet, 2048},
-	}
-	labels := make([]string, len(scenarios))
-	for i, sc := range scenarios {
-		labels[i] = fmt.Sprintf("%s@%d", sc.b, sc.size)
+	samples, err := seedGrid(len(bs), 1, workers, len(AllAlgorithms), func(i int, _ int64) ([]float64, error) {
+		return measureAll(AllAlgorithms, bs[i], sizes[i])
+	})
+	if err != nil {
+		return Figure{}, nil, fmt.Errorf("Fig13: %w", err)
 	}
 	fig := Figure{
 		ID:     "Fig13",
@@ -226,38 +208,7 @@ func fig13(workers int) (Figure, []string, error) {
 		XLabel: "scenario",
 		YLabel: "latency_ms",
 	}
-	series := make(map[string]*Series)
-	for _, a := range AllAlgorithms {
-		series[a] = &Series{Label: a}
-	}
-	cells, err := parallel.Map(len(scenarios), workers, func(i int) ([]float64, error) {
-		sc := scenarios[i]
-		net, err := BuildBenchmark(sc.b, plat, sc.size)
-		if err != nil {
-			return nil, err
-		}
-		m := cost.FromGraph(net.G, cost.DefaultContention())
-		lats := make([]float64, len(AllAlgorithms))
-		for ai, a := range AllAlgorithms {
-			lat, err := measure(a, net, m, plat.GPUs)
-			if err != nil {
-				return nil, fmt.Errorf("Fig13 %s %s: %w", a, labels[i], err)
-			}
-			lats[ai] = lat
-		}
-		return lats, nil
-	})
-	if err != nil {
-		return Figure{}, nil, err
-	}
-	for i := range scenarios {
-		for ai, a := range AllAlgorithms {
-			series[a].Points = append(series[a].Points, Point{X: float64(i), Mean: cells[i][ai]})
-		}
-	}
-	for _, a := range AllAlgorithms {
-		fig.Series = append(fig.Series, *series[a])
-	}
+	addSeries(&fig, AllAlgorithms, xs, samples)
 	return fig, labels, nil
 }
 

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"github.com/shus-lab/hios/internal/cost"
-	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched/ios"
-	"github.com/shus-lab/hios/internal/stats"
 )
 
 // SimOptions parameterizes the §V simulation sweeps.
@@ -72,16 +70,7 @@ func sweep(id, title, xlabel string, xs []float64,
 		return Figure{}, err
 	}
 	opt.fill()
-	fig := Figure{ID: id, Title: title, XLabel: xlabel, YLabel: "latency_ms"}
-	samples := make(map[string][]*stats.Sample, len(AllAlgorithms))
-	for _, a := range AllAlgorithms {
-		samples[a] = make([]*stats.Sample, len(xs))
-		for i := range xs {
-			samples[a][i] = &stats.Sample{}
-		}
-	}
-	cells, err := parallel.Map(len(xs)*opt.Seeds, opt.Workers, func(t int) ([]float64, error) {
-		i, seed := t/opt.Seeds, int64(t%opt.Seeds)+1
+	samples, err := seedGrid(len(xs), opt.Seeds, opt.Workers, len(AllAlgorithms), func(i int, seed int64) ([]float64, error) {
 		x := xs[i]
 		g, err := randdag.Generate(cfgAt(x, seed))
 		if err != nil {
@@ -102,15 +91,8 @@ func sweep(id, title, xlabel string, xs []float64,
 	if err != nil {
 		return Figure{}, err
 	}
-	for t, lats := range cells {
-		i := t / opt.Seeds
-		for ai, a := range AllAlgorithms {
-			samples[a][i].Add(lats[ai])
-		}
-	}
-	for _, a := range AllAlgorithms {
-		fig.Series = append(fig.Series, collect(a, xs, samples[a]))
-	}
+	fig := Figure{ID: id, Title: title, XLabel: xlabel, YLabel: "latency_ms"}
+	addSeries(&fig, AllAlgorithms, xs, samples)
 	return fig, nil
 }
 

@@ -6,9 +6,8 @@ import (
 	"github.com/shus-lab/hios/internal/cluster"
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/model"
-	"github.com/shus-lab/hios/internal/parallel"
+	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/serve"
-	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -44,8 +43,9 @@ type FleetSweepOptions struct {
 	// Window is the sliding-window size w of the scheduler (0 =
 	// default).
 	Window int
-	// InputSize is the benchmark model's input image size (0 = 224;
-	// tests shrink it to keep schedule construction fast).
+	// InputSize is the benchmark model's input image size (0 = its
+	// default, 224; tests shrink it to keep schedule construction
+	// fast).
 	InputSize int
 	// Workers bounds the sweep's worker pool (0 = GOMAXPROCS, 1 =
 	// serial reference; output is byte-identical at any width).
@@ -74,9 +74,6 @@ func (o *FleetSweepOptions) fill() {
 	if o.GPUs <= 0 {
 		o.GPUs = 2
 	}
-	if o.InputSize <= 0 {
-		o.InputSize = 224
-	}
 }
 
 // Validate reports the first structural violation of the sweep options.
@@ -102,32 +99,37 @@ func (o FleetSweepOptions) Validate() error {
 	return nil
 }
 
-// fleetProfiles schedules the benchmark model once per platform preset
-// with HIOS-LP and converts each schedule into a cluster serving
-// profile: the same deployment runs with genuinely different latency
-// and period on each platform, which is what gives the weighted router
-// a real cost/latency tradeoff.
-func fleetProfiles(opt FleetSweepOptions) ([]cluster.Profile, error) {
-	var profs []cluster.Profile
+// FleetDeployment schedules the named zoo model (at an input size, 0 =
+// its default) once per platform preset with algo and converts each
+// schedule into that platform's cluster serving profile: the same
+// deployment runs with genuinely different latency and period on each
+// platform, which is what gives the weighted router a real
+// cost/latency tradeoff.
+func FleetDeployment(name string, size int, algo string, cfg RunConfig) (cluster.Deployment, error) {
+	dep := cluster.Deployment{Name: name}
 	for _, p := range cluster.Presets() {
-		net := model.SqueezeNet(p.Platform.Dev, p.Platform.Link, opt.InputSize)
-		cm := net.CachedModel(cost.DefaultContention())
-		res, err := Run(AlgoHIOSLP, net.G, cm, RunConfig{GPUs: opt.GPUs, Window: opt.Window})
+		net, err := model.Build(p.Platform, name, size, randdag.Paper())
 		if err != nil {
-			return nil, fmt.Errorf("AttainmentVsFleet: %s: %w", p.Key, err)
+			return dep, err
+		}
+		cm := net.CachedModel(cost.DefaultContention())
+		res, err := Run(algo, net.G, cm, cfg)
+		if err != nil {
+			return dep, fmt.Errorf("%s: %w", p.Key, err)
 		}
 		sm, err := serve.NewModel(net.Name, net.G, cm, res.Schedule)
 		if err != nil {
-			return nil, fmt.Errorf("AttainmentVsFleet: %s: %w", p.Key, err)
+			return dep, fmt.Errorf("%s: %w", p.Key, err)
 		}
-		profs = append(profs, serve.ProfileOf(p.Key, sm))
+		dep.Profiles = append(dep.Profiles, serve.ProfileOf(p.Key, sm))
 	}
-	return profs, nil
+	return dep, nil
 }
 
-// fleetSpec builds the n-node heterogeneous fleet of figure Serve2:
-// node i runs platform preset i mod len(Presets).
-func fleetSpec(n, replicas int) cluster.FleetSpec {
+// PresetFleet builds the n-node heterogeneous fleet of figure Serve2:
+// node i runs platform preset i mod len(Presets) with the given initial
+// replicas.
+func PresetFleet(n, replicas int) cluster.FleetSpec {
 	keys := cluster.PresetKeys()
 	nodes := make([]cluster.NodeSpec, n)
 	for i := 0; i < n; i++ {
@@ -154,45 +156,20 @@ func AttainmentVsFleet(opt FleetSweepOptions) (Figure, error) {
 	}
 	opt.fill()
 
-	profs, err := fleetProfiles(opt)
+	dep, err := FleetDeployment("squeezenet", opt.InputSize, AlgoHIOSLP, RunConfig{GPUs: opt.GPUs, Window: opt.Window})
 	if err != nil {
-		return Figure{}, err
-	}
-	dep := cluster.Deployment{Name: "squeezenet", Profiles: profs}
-	minLat := profs[0].Latency
-	for _, p := range profs[1:] {
-		if p.Latency < minLat {
-			minLat = p.Latency
-		}
-	}
-	tight := minLat.Scale(4)
-	loose := minLat.Scale(12)
-
-	xs := make([]float64, len(opt.Sizes))
-	for i, n := range opt.Sizes {
-		xs[i] = float64(n)
-	}
-	samples := make([][]*stats.Sample, len(opt.Routers))
-	for si := range samples {
-		samples[si] = make([]*stats.Sample, len(opt.Sizes))
-		for i := range opt.Sizes {
-			samples[si][i] = &stats.Sample{}
-		}
+		return Figure{}, fmt.Errorf("AttainmentVsFleet: %w", err)
 	}
 
-	cells, err := parallel.Map(len(opt.Sizes)*opt.Seeds, opt.Workers, func(t int) ([]float64, error) {
-		i, seed := t/opt.Seeds, int64(t%opt.Seeds)+1
+	samples, err := seedGrid(len(opt.Sizes), opt.Seeds, opt.Workers, len(opt.Routers), func(i int, seed int64) ([]float64, error) {
 		base := cluster.Options{
-			Fleet:       fleetSpec(opt.Sizes[i], opt.Replicas),
+			Fleet:       PresetFleet(opt.Sizes[i], opt.Replicas),
 			Deployments: []cluster.Deployment{dep},
 			Seed:        seed,
 		}
 		rate := opt.Load * base.Capacity(0)
 		base.Horizon = units.Millis(float64(opt.Requests) * 1e3 / rate)
-		base.Tenants = []cluster.Tenant{
-			{Name: "interactive", Deadline: tight, Rate: 0.6 * rate},
-			{Name: "batch", Deadline: loose, Rate: 0.4 * rate},
-		}
+		base.Tenants = cluster.TenantMix(dep.MinLatency(), rate)
 		atts := make([]float64, 0, len(opt.Routers))
 		for _, router := range opt.Routers {
 			o := base
@@ -209,20 +186,12 @@ func AttainmentVsFleet(opt FleetSweepOptions) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	for t, atts := range cells {
-		i := t / opt.Seeds
-		for si := range opt.Routers {
-			samples[si][i].Add(atts[si])
-		}
-	}
 	fig := Figure{
 		ID:     "Serve2",
 		Title:  "SLO attainment vs fleet size (router policy)",
 		XLabel: "fleet_nodes",
 		YLabel: "slo_attainment",
 	}
-	for si, router := range opt.Routers {
-		fig.Series = append(fig.Series, collect(string(router), xs, samples[si]))
-	}
+	addSeries(&fig, opt.Routers, floats(opt.Sizes), samples)
 	return fig, nil
 }

@@ -146,7 +146,7 @@ func TestServe2EventFloor(t *testing.T) {
 	def := FleetSweepOptions{}
 	def.fill()
 	opt := cluster.Options{
-		Fleet: fleetSpec(def.Sizes[0], def.Replicas),
+		Fleet: PresetFleet(def.Sizes[0], def.Replicas),
 		Deployments: []cluster.Deployment{{Name: "m", Profiles: []cluster.Profile{
 			{Platform: "a40", Latency: 4, Period: 2, Busy: 3},
 			{Platform: "a5500", Latency: 5, Period: 2.5, Busy: 3.75},

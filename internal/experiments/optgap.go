@@ -5,12 +5,10 @@ import (
 	"fmt"
 
 	"github.com/shus-lab/hios/internal/cost"
-	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched/bnb"
 	"github.com/shus-lab/hios/internal/sched/lp"
 	"github.com/shus-lab/hios/internal/sched/mr"
-	"github.com/shus-lab/hios/internal/stats"
 )
 
 // OptimalityGap is a study the paper does not include but its claims
@@ -36,51 +34,37 @@ func OptimalityGap(seeds, ops int) (Figure, error) {
 		XLabel: "gpus",
 		YLabel: "latency ratio (1.0 = optimal)",
 	}
-	gapLP := make([]*stats.Sample, len(xs))
-	gapMR := make([]*stats.Sample, len(xs))
-	for i := range xs {
-		gapLP[i] = &stats.Sample{}
-		gapMR[i] = &stats.Sample{}
-	}
 	// One pool task per (gpu count, seed) cell; the exact branch-and-bound
 	// reference dominates each task's cost, so the cells parallelize well.
-	cells, err := parallel.Map(len(xs)*seeds, 0, func(t int) ([2]float64, error) {
-		gpus := int(xs[t/seeds])
+	samples, err := seedGrid(len(xs), seeds, 0, 2, func(i int, seed int64) ([]float64, error) {
+		gpus := int(xs[i])
 		cfg := randdag.Paper()
 		cfg.Ops = ops
 		cfg.Layers = 4
 		cfg.Deps = 2 * ops
-		cfg.Seed = int64(t%seeds) + 1
+		cfg.Seed = seed
 		g, err := randdag.Generate(cfg)
 		if err != nil {
-			return [2]float64{}, err
+			return nil, err
 		}
 		m := cost.FromGraph(g, cost.DefaultContention())
 		opt, err := bnb.Schedule(g, m, bnb.Options{GPUs: gpus, MaxNodes: 20_000_000})
 		if err != nil && !errors.Is(err, bnb.ErrTruncated) {
-			return [2]float64{}, err
+			return nil, err
 		}
 		lpRes, err := lp.Schedule(g, m, lp.Options{GPUs: gpus, InterOnly: true})
 		if err != nil {
-			return [2]float64{}, err
+			return nil, err
 		}
 		mrRes, err := mr.Schedule(g, m, mr.Options{GPUs: gpus, InterOnly: true})
 		if err != nil {
-			return [2]float64{}, err
+			return nil, err
 		}
-		return [2]float64{lpRes.Latency.Ratio(opt.Latency), mrRes.Latency.Ratio(opt.Latency)}, nil
+		return []float64{lpRes.Latency.Ratio(opt.Latency), mrRes.Latency.Ratio(opt.Latency)}, nil
 	})
 	if err != nil {
 		return Figure{}, err
 	}
-	for t, ratios := range cells {
-		i := t / seeds
-		gapLP[i].Add(ratios[0])
-		gapMR[i].Add(ratios[1])
-	}
-	fig.Series = []Series{
-		collect(AlgoInterLP, xs, gapLP),
-		collect(AlgoInterMR, xs, gapMR),
-	}
+	addSeries(&fig, []string{AlgoInterLP, AlgoInterMR}, xs, samples)
 	return fig, nil
 }

@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/shus-lab/hios/internal/cluster"
 	"github.com/shus-lab/hios/internal/cost"
-	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/serve"
-	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -151,11 +150,6 @@ func AttainmentVsLoad(opt ServeSweepOptions) (Figure, error) {
 		}
 		models[ai] = dm
 	}
-	// Shared absolute SLOs, derived from the best single-request latency
-	// so they are demanding but feasible for a well-scheduled deployment.
-	tight := minLat.Scale(4)
-	loose := minLat.Scale(12)
-
 	policies := serve.Policies()
 	series := make([]string, 0, len(algos)*len(policies))
 	for _, a := range algos {
@@ -163,26 +157,17 @@ func AttainmentVsLoad(opt ServeSweepOptions) (Figure, error) {
 			series = append(series, a+"/"+string(p))
 		}
 	}
-	samples := make([][]*stats.Sample, len(series))
-	for si := range samples {
-		samples[si] = make([]*stats.Sample, len(opt.Loads))
-		for i := range opt.Loads {
-			samples[si][i] = &stats.Sample{}
-		}
-	}
-
-	cells, err := parallel.Map(len(opt.Loads)*opt.Seeds, opt.Workers, func(t int) ([]float64, error) {
-		i, seed := t/opt.Seeds, int64(t%opt.Seeds)+1
+	samples, err := seedGrid(len(opt.Loads), opt.Seeds, opt.Workers, len(series), func(i int, seed int64) ([]float64, error) {
 		lambda := opt.Loads[i] * bestCap
 		atts := make([]float64, 0, len(series))
 		for ai := range algos {
 			for _, p := range policies {
+				// Shared absolute SLOs, derived from the best single-request
+				// latency so they are demanding but feasible for a
+				// well-scheduled deployment.
 				rep, err := serve.Run(serve.Options{
-					Models: []serve.Model{models[ai]},
-					Tenants: []serve.Tenant{
-						{Name: "interactive", Deadline: tight, Rate: 0.6 * lambda},
-						{Name: "batch", Deadline: loose, Rate: 0.4 * lambda},
-					},
+					Models:  []serve.Model{models[ai]},
+					Tenants: cluster.TenantMix(minLat, lambda),
 					Policy:  p,
 					Horizon: opt.Horizon,
 					Seed:    seed,
@@ -199,20 +184,12 @@ func AttainmentVsLoad(opt ServeSweepOptions) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	for t, atts := range cells {
-		i := t / opt.Seeds
-		for si := range series {
-			samples[si][i].Add(atts[si])
-		}
-	}
 	fig := Figure{
 		ID:     "Serve1",
 		Title:  "SLO attainment vs offered load (scheduler x policy)",
 		XLabel: "offered_load",
 		YLabel: "slo_attainment",
 	}
-	for si, label := range series {
-		fig.Series = append(fig.Series, collect(label, opt.Loads, samples[si]))
-	}
+	addSeries(&fig, series, opt.Loads, samples)
 	return fig, nil
 }

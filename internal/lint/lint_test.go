@@ -50,6 +50,13 @@ func TestPubAPI(t *testing.T) {
 	linttest.Run(t, lint.PubAPI, "testdata/pubapi", lint.ModulePath+"/cmd/fixture")
 }
 
+// The drivers' shared plumbing lives in cmd/internal/cli; the import
+// rule covers it like any cmd/ package, so it cannot become a back door
+// around the facade.
+func TestPubAPICoversSharedCLI(t *testing.T) {
+	linttest.Run(t, lint.PubAPI, "testdata/pubapi", lint.ModulePath+"/cmd/internal/cli")
+}
+
 // The options rule is module-wide: an exported *Options struct without a
 // Validate method is flagged wherever it is declared.
 func TestPubAPIOptions(t *testing.T) {

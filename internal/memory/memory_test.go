@@ -103,7 +103,7 @@ func TestRejectsInvalidSchedule(t *testing.T) {
 
 func TestInceptionFitsA40(t *testing.T) {
 	plat := gpu.DualA40()
-	net := model.InceptionV3(plat.Dev, plat.Link, 1024)
+	net := model.Must(model.InceptionV3(plat.Dev, plat.Link, 1024))
 	m := cost.FromGraph(net.G, cost.DefaultContention())
 	res, err := lp.Schedule(net.G, m, lp.Options{GPUs: 2})
 	if err != nil {
@@ -128,7 +128,7 @@ func TestMultiGPUSplitsFootprint(t *testing.T) {
 	// that the per-GPU peak under LP is below the sequential peak plus
 	// a margin.
 	plat := gpu.DualA40()
-	net := model.InceptionV3(plat.Dev, plat.Link, 512)
+	net := model.Must(model.InceptionV3(plat.Dev, plat.Link, 512))
 	m := cost.FromGraph(net.G, cost.DefaultContention())
 
 	sq, err := seq.Schedule(net.G, m)

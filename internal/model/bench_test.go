@@ -9,13 +9,13 @@ import (
 func BenchmarkBuildInceptionV3(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
+		_ = Must(InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299))
 	}
 }
 
 func BenchmarkBuildNASNet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = NASNet(gpu.A40(), gpu.NVLinkBridge(), 331)
+		_ = Must(NASNet(gpu.A40(), gpu.NVLinkBridge(), 331))
 	}
 }

@@ -17,10 +17,10 @@ func zooNets(t *testing.T, p gpu.Platform) []*Net {
 		t.Fatal(err)
 	}
 	return []*Net{
-		InceptionV3(p.Dev, p.Link, 299),
-		NASNet(p.Dev, p.Link, 331),
-		SqueezeNet(p.Dev, p.Link, 224),
-		ResNet50(p.Dev, p.Link, 224),
+		Must(InceptionV3(p.Dev, p.Link, 299)),
+		Must(NASNet(p.Dev, p.Link, 331)),
+		Must(SqueezeNet(p.Dev, p.Link, 224)),
+		Must(ResNet50(p.Dev, p.Link, 224)),
 		rw,
 	}
 }
@@ -65,8 +65,8 @@ func TestBakedWeightsMatchUncachedPricing(t *testing.T) {
 // byte-identical graph weights — the second build is served almost
 // entirely from the shared cache, and cached values must not drift.
 func TestBuilderCacheStability(t *testing.T) {
-	a := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
-	b := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
+	a := Must(InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299))
+	b := Must(InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299))
 	if a.G.NumOps() != b.G.NumOps() {
 		t.Fatalf("op counts differ: %d vs %d", a.G.NumOps(), b.G.NumOps())
 	}

@@ -18,7 +18,7 @@ import (
 // graph; this builder produces 121 operators (it keeps an explicit input
 // placeholder and the final classifier as separate operators) and an edge
 // count within a few of the paper's.
-func InceptionV3(dev gpu.Device, link gpu.Link, inputSize int) *Net {
+func InceptionV3(dev gpu.Device, link gpu.Link, inputSize int) (*Net, error) {
 	b := NewBuilder(fmt.Sprintf("inception-v3-%d", inputSize), dev, link)
 
 	in := b.Input(3, inputSize, inputSize)
@@ -51,7 +51,7 @@ func InceptionV3(dev gpu.Device, link gpu.Link, inputSize int) *Net {
 
 	x = b.GlobalAvgPool(x, "head.pool")
 	b.Linear(x, 1000, "head.fc")
-	return b.MustBuild()
+	return b.Build()
 }
 
 // inceptionA is the 35x35 module: 1x1, 5x5, double-3x3 and pooling

@@ -51,9 +51,12 @@ type Net struct {
 	Link gpu.Link
 }
 
-// Builder incrementally constructs a Net. All Add* methods panic on
-// malformed shapes (builders encode static architectures; a shape error is
-// a programming bug, not an input error), and Build finalizes the graph.
+// Builder incrementally constructs a Net. A malformed shape — a kernel
+// that does not fit its input, mismatched concat or add operands, a
+// non-positive tensor — depends on the input size, so the Add* methods
+// record the first one instead of panicking, clamp the offending
+// dimensions to 1 so construction can run to its end, and Build returns
+// the recorded error.
 type Builder struct {
 	name    string
 	dev     gpu.Device
@@ -61,6 +64,7 @@ type Builder struct {
 	g       *graph.Graph
 	shapes  []Tensor
 	kernels []gpu.Kernel
+	err     error
 }
 
 // NewBuilder returns a Builder pricing operators on dev and transfers on
@@ -79,7 +83,8 @@ func (b *Builder) Shape(id graph.OpID) Tensor { return b.shapes[id] }
 // values are bit-identical to calling the device model directly.
 func (b *Builder) addOp(name, kind string, out Tensor, k gpu.Kernel, srcs ...graph.OpID) graph.OpID {
 	if out.C <= 0 || out.H <= 0 || out.W <= 0 {
-		panic(fmt.Sprintf("model: %s %q produces non-positive shape %v", kind, name, out))
+		b.failf(name, "%s produces non-positive shape %v", kind, out)
+		out = Tensor{C: max(out.C, 1), H: max(out.H, 1), W: max(out.W, 1)}
 	}
 	t, util := costcache.Shared().KernelTime(b.dev, k)
 	id := b.g.AddOp(graph.Op{
@@ -111,8 +116,8 @@ func (b *Builder) Conv(src graph.OpID, outC, kH, kW, sH, sW, pH, pW int, name st
 	in := b.shapes[src]
 	out := Tensor{
 		C: outC,
-		H: convDim(in.H, kH, sH, pH),
-		W: convDim(in.W, kW, sW, pW),
+		H: b.dim(name, in.H, kH, sH, pH),
+		W: b.dim(name, in.W, kW, sW, pW),
 	}
 	flops := 2 * float64(kH*kW*in.C) * float64(out.Elems())
 	weights := 4 * float64(kH*kW*in.C*outC)
@@ -134,7 +139,7 @@ func (b *Builder) Conv1x1(src graph.OpID, outC int, name string) graph.OpID {
 // NASNet's cells are built from these.
 func (b *Builder) SepConv(src graph.OpID, outC, k, s, p int, name string) graph.OpID {
 	in := b.shapes[src]
-	dwOut := Tensor{C: in.C, H: convDim(in.H, k, s, p), W: convDim(in.W, k, s, p)}
+	dwOut := Tensor{C: in.C, H: b.dim(name, in.H, k, s, p), W: b.dim(name, in.W, k, s, p)}
 	dwFlops := 2 * float64(k*k) * float64(dwOut.Elems())
 	dw := b.addOp(name+".dw", "conv-dw", dwOut, gpu.Kernel{
 		FLOPs:   units.FLOPs(dwFlops),
@@ -156,7 +161,7 @@ func (b *Builder) AvgPool(src graph.OpID, k, s, p int, name string) graph.OpID {
 
 func (b *Builder) pool(src graph.OpID, k, s, p int, kind, name string) graph.OpID {
 	in := b.shapes[src]
-	out := Tensor{C: in.C, H: convDim(in.H, k, s, p), W: convDim(in.W, k, s, p)}
+	out := Tensor{C: in.C, H: b.dim(name, in.H, k, s, p), W: b.dim(name, in.W, k, s, p)}
 	kern := gpu.Kernel{
 		FLOPs:   units.FLOPs(float64(k*k) * float64(out.Elems())),
 		Bytes:   units.Bytes(float64(in.Bytes()) + float64(out.Bytes())),
@@ -189,7 +194,7 @@ func (b *Builder) Concat(name string, srcs ...graph.OpID) graph.OpID {
 	for _, s := range srcs {
 		sh := b.shapes[s]
 		if sh.H != first.H || sh.W != first.W {
-			panic(fmt.Sprintf("model: Concat %q spatial mismatch: %v vs %v", name, first, sh))
+			b.failf(name, "concat spatial mismatch: %v vs %v", first, sh)
 		}
 		out.C += sh.C
 		bytes += float64(sh.Bytes())
@@ -205,7 +210,7 @@ func (b *Builder) Concat(name string, srcs ...graph.OpID) graph.OpID {
 func (b *Builder) Add(x, y graph.OpID, name string) graph.OpID {
 	sx, sy := b.shapes[x], b.shapes[y]
 	if sx != sy {
-		panic(fmt.Sprintf("model: Add %q shape mismatch: %v vs %v", name, sx, sy))
+		b.failf(name, "add shape mismatch: %v vs %v", sx, sy)
 	}
 	k := gpu.Kernel{
 		FLOPs:   units.FLOPs(sx.Elems()),
@@ -228,8 +233,12 @@ func (b *Builder) Linear(src graph.OpID, outFeatures int, name string) graph.OpI
 	return b.addOp(name, "linear", out, k, src)
 }
 
-// Build finalizes and returns the Net.
+// Build finalizes and returns the Net, or the first shape error the
+// Add* methods recorded.
 func (b *Builder) Build() (*Net, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	if err := b.g.Finalize(); err != nil {
 		return nil, err
 	}
@@ -246,27 +255,39 @@ func (n *Net) CachedModel(ct cost.Contention) *cost.GraphModel {
 	return cost.FromGraph(n.G, ct)
 }
 
-// MustBuild is Build that panics on error; architecture builders are
-// statically valid.
-func (b *Builder) MustBuild() *Net {
-	n, err := b.Build()
+// MustBuild is Build that panics on error.
+func (b *Builder) MustBuild() *Net { return Must(b.Build()) }
+
+// Must returns the net of a build that cannot fail, and panics if it
+// did: the public builders that promise a net use it.
+func Must(n *Net, err error) *Net {
 	if err != nil {
 		panic(err)
 	}
 	return n
 }
 
-// convDim computes an output spatial dimension, panicking when the
-// configuration is degenerate.
-func convDim(in, k, s, p int) int {
+// dim computes an output spatial dimension of op, recording an error
+// (and returning 1) when the kernel does not fit the input. A
+// non-positive stride is a bug in an architecture, not an input error,
+// and panics.
+func (b *Builder) dim(op string, in, k, s, p int) int {
 	if s <= 0 {
 		panic("model: stride must be positive")
 	}
 	out := (in+2*p-k)/s + 1
 	if out <= 0 {
-		panic(fmt.Sprintf("model: kernel %d stride %d pad %d does not fit input %d", k, s, p, in))
+		b.failf(op, "kernel %d stride %d pad %d does not fit input %d", k, s, p, in)
+		return 1
 	}
 	return out
+}
+
+// failf records the first shape error of the build.
+func (b *Builder) failf(op, format string, args ...any) {
+	if b.err == nil {
+		b.err = fmt.Errorf("model: %s: %s: %s", b.name, op, fmt.Sprintf(format, args...))
+	}
 }
 
 // TotalFLOPs is a diagnostic: approximate total floating-point work of the

@@ -58,6 +58,7 @@ func TestConcatChecksSpatial(t *testing.T) {
 	a := b.Conv1x1(in, 8, "a")
 	c := b.Conv(in, 8, 3, 3, 2, 2, 0, 0, "c")
 	b.Concat("bad", a, c)
+	b.MustBuild()
 }
 
 func TestAddChecksShape(t *testing.T) {
@@ -71,6 +72,7 @@ func TestAddChecksShape(t *testing.T) {
 	a := b.Conv1x1(in, 8, "a")
 	c := b.Conv1x1(in, 16, "c")
 	b.Add(a, c, "bad")
+	b.MustBuild()
 }
 
 func TestDegenerateConvPanics(t *testing.T) {
@@ -82,10 +84,11 @@ func TestDegenerateConvPanics(t *testing.T) {
 	b := NewBuilder("t", gpu.A40(), gpu.NVLinkBridge())
 	in := b.Input(3, 4, 4)
 	b.Conv(in, 8, 7, 7, 1, 1, 0, 0, "bad")
+	b.MustBuild()
 }
 
 func TestOpWeightsPositiveAndFinite(t *testing.T) {
-	n := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
+	n := Must(InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299))
 	for _, op := range n.G.Ops() {
 		if !(op.Time > 0) || math.IsInf(op.Time, 0) || math.IsNaN(op.Time) {
 			t.Fatalf("op %s has bad time %g", op.Name, op.Time)
@@ -102,7 +105,7 @@ func TestOpWeightsPositiveAndFinite(t *testing.T) {
 }
 
 func TestInceptionV3Structure(t *testing.T) {
-	n := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
+	n := Must(InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299))
 	// Paper: 119 operators, 153 dependencies. Our builder keeps the
 	// explicit input placeholder and classifier: 121 ops.
 	if got := n.G.NumOps(); got != 121 {
@@ -128,8 +131,8 @@ func TestInceptionV3Structure(t *testing.T) {
 }
 
 func TestInceptionV3ScalesWithInput(t *testing.T) {
-	small := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
-	large := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 1024)
+	small := Must(InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299))
+	large := Must(InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 1024))
 	if small.G.NumOps() != large.G.NumOps() {
 		t.Fatal("input size must not change the graph structure")
 	}
@@ -154,7 +157,7 @@ func TestInceptionV3ScalesWithInput(t *testing.T) {
 }
 
 func TestNASNetStructure(t *testing.T) {
-	n := NASNet(gpu.A40(), gpu.NVLinkBridge(), 331)
+	n := Must(NASNet(gpu.A40(), gpu.NVLinkBridge(), 331))
 	// Paper: 374 operators, 576 dependencies.
 	if got := n.G.NumOps(); got != 374 {
 		t.Fatalf("ops = %d, want 374", got)
@@ -177,8 +180,8 @@ func TestNASNetStructure(t *testing.T) {
 func TestNASNetWiderThanInception(t *testing.T) {
 	// NASNet's cells are wider (more parallel branches) than
 	// Inception's: its maximum layer width must exceed Inception's.
-	inc := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
-	nas := NASNet(gpu.A40(), gpu.NVLinkBridge(), 331)
+	inc := Must(InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299))
+	nas := Must(NASNet(gpu.A40(), gpu.NVLinkBridge(), 331))
 	width := func(n *Net) int {
 		w := 0
 		for _, l := range n.G.Layers() {
@@ -194,8 +197,8 @@ func TestNASNetWiderThanInception(t *testing.T) {
 }
 
 func TestDifferentDevicesDifferentTimes(t *testing.T) {
-	a40 := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
-	v100 := InceptionV3(gpu.V100S(), gpu.PCIe3(), 299)
+	a40 := Must(InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299))
+	v100 := Must(InceptionV3(gpu.V100S(), gpu.PCIe3(), 299))
 	if a40.G.TotalOpTime() >= v100.G.TotalOpTime() {
 		t.Fatalf("A40 (%g ms) should be faster than V100S (%g ms)",
 			a40.G.TotalOpTime(), v100.G.TotalOpTime())

@@ -32,7 +32,7 @@ func checkNet(t *testing.T, n *Net, wantClasses int) {
 }
 
 func TestSqueezeNetStructure(t *testing.T) {
-	n := SqueezeNet(gpu.A40(), gpu.NVLinkBridge(), 224)
+	n := Must(SqueezeNet(gpu.A40(), gpu.NVLinkBridge(), 224))
 	checkNet(t, n, 0)
 	// input + stem conv + stem pool + 8 fire modules x 4 ops + 2 mid
 	// pools + conv10 + global pool = 39.
@@ -47,7 +47,7 @@ func TestSqueezeNetStructure(t *testing.T) {
 }
 
 func TestResNet50Structure(t *testing.T) {
-	n := ResNet50(gpu.A40(), gpu.NVLinkBridge(), 224)
+	n := Must(ResNet50(gpu.A40(), gpu.NVLinkBridge(), 224))
 	checkNet(t, n, 1000)
 	// 16 blocks x (3 conv + add) + 4 projection shortcuts + stem
 	// (conv + pool) + input + head (pool + fc) = 73.
@@ -138,7 +138,7 @@ func TestRandWireWiderThanResNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn := ResNet50(gpu.A40(), gpu.NVLinkBridge(), 224)
+	rn := Must(ResNet50(gpu.A40(), gpu.NVLinkBridge(), 224))
 	width := func(n *Net) int {
 		w := 0
 		for _, l := range n.G.Layers() {

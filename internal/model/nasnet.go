@@ -21,7 +21,7 @@ import (
 // cells separated by reduction cells, head — yields 374 operators,
 // matching the paper's reported operator count exactly (the paper lists
 // 374 operators and 576 dependencies).
-func NASNet(dev gpu.Device, link gpu.Link, inputSize int) *Net {
+func NASNet(dev gpu.Device, link gpu.Link, inputSize int) (*Net, error) {
 	b := NewBuilder(fmt.Sprintf("nasnet-a-%d", inputSize), dev, link)
 
 	in := b.Input(3, inputSize, inputSize)
@@ -47,7 +47,7 @@ func NASNet(dev gpu.Device, link gpu.Link, inputSize int) *Net {
 
 	x := b.GlobalAvgPool(h, "head.pool")
 	b.Linear(x, 1000, "head.fc")
-	return b.MustBuild()
+	return b.Build()
 }
 
 // normalCell is a stride-1 NASNet-A cell: both inputs are first squeezed
@@ -119,7 +119,7 @@ func adjust(b *Builder, src graph.OpID, want Tensor, filters int, name string) g
 	}
 	out := b.Conv(src, filters, 1, 1, stride, stride, 0, 0, name)
 	if got := b.Shape(out); got.H != want.H || got.W != want.W {
-		panic(fmt.Sprintf("model: adjust %q produced %v, want %dx%d spatial", name, got, want.H, want.W))
+		b.failf(name, "adjust produced %v, want %dx%d spatial", got, want.H, want.W)
 	}
 	return out
 }

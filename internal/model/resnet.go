@@ -14,7 +14,7 @@ import (
 // inter-operator parallelism and serves as the control benchmark where
 // HIOS-LP should gain little over sequential execution (every scheduler
 // is bound by the same long dependency chain).
-func ResNet50(dev gpu.Device, link gpu.Link, inputSize int) *Net {
+func ResNet50(dev gpu.Device, link gpu.Link, inputSize int) (*Net, error) {
 	b := NewBuilder(fmt.Sprintf("resnet50-%d", inputSize), dev, link)
 
 	in := b.Input(3, inputSize, inputSize)
@@ -41,7 +41,7 @@ func ResNet50(dev gpu.Device, link gpu.Link, inputSize int) *Net {
 	}
 	x = b.GlobalAvgPool(x, "head.pool")
 	b.Linear(x, 1000, "head.fc")
-	return b.MustBuild()
+	return b.Build()
 }
 
 // bottleneck is one ResNet bottleneck block: 1x1 reduce, 3x3, 1x1 expand,

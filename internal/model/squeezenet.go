@@ -15,7 +15,7 @@ import (
 // entirely on its own, making it a useful contrast to the NASNet extreme.
 //
 // Canonical input size is 224.
-func SqueezeNet(dev gpu.Device, link gpu.Link, inputSize int) *Net {
+func SqueezeNet(dev gpu.Device, link gpu.Link, inputSize int) (*Net, error) {
 	b := NewBuilder(fmt.Sprintf("squeezenet-%d", inputSize), dev, link)
 
 	in := b.Input(3, inputSize, inputSize)
@@ -36,7 +36,7 @@ func SqueezeNet(dev gpu.Device, link gpu.Link, inputSize int) *Net {
 	x = b.Conv1x1(x, 1000, "head.conv10")
 	x = b.GlobalAvgPool(x, "head.pool")
 	_ = x
-	return b.MustBuild()
+	return b.Build()
 }
 
 // fire is one SqueezeNet module: squeeze to squeezeC channels, expand in

@@ -15,6 +15,7 @@ package randdag
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/shus-lab/hios/internal/graph"
@@ -79,6 +80,12 @@ func Generate(cfg Config) (*graph.Graph, error) {
 	}
 	if cfg.MaxTime < cfg.MinTime || cfg.MinTime < 0 {
 		return nil, fmt.Errorf("randdag: bad time range [%g, %g]", cfg.MinTime, cfg.MaxTime)
+	}
+	if cfg.Deps < 0 {
+		return nil, fmt.Errorf("randdag: negative dependency count %d", cfg.Deps)
+	}
+	if !(cfg.CommRatio >= 0) || math.IsInf(cfg.CommRatio, 1) {
+		return nil, fmt.Errorf("randdag: communication ratio %g must be finite and non-negative", cfg.CommRatio)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

@@ -1,6 +1,7 @@
 package randdag
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +100,10 @@ func TestConfigValidation(t *testing.T) {
 		{Ops: 5, Layers: 9},
 		{Ops: 5, Layers: 2, MinTime: 3, MaxTime: 1},
 		{Ops: 5, Layers: 2, MinTime: -1, MaxTime: 1},
+		{Ops: 5, Layers: 2, MaxTime: 1, Deps: -1},
+		{Ops: 5, Layers: 2, MaxTime: 1, CommRatio: -1},
+		{Ops: 5, Layers: 2, MaxTime: 1, CommRatio: math.NaN()},
+		{Ops: 5, Layers: 2, MaxTime: 1, CommRatio: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {

@@ -12,7 +12,9 @@
 package specflag
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -52,12 +54,17 @@ func Int[T any](key string, f func(*T) *int) Field[T] {
 	}
 }
 
-// Float declares a dimensionless float field.
+// Float declares a dimensionless float field. Only finite values
+// parse: NaN and infinities have no place in a spec and could not
+// round-trip through String.
 func Float[T any](key string, f func(*T) *float64) Field[T] {
 	return Field[T]{
 		Key: key,
 		set: func(v *T, s string) error {
 			x, err := strconv.ParseFloat(s, 64)
+			if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+				err = errors.New("not a finite number")
+			}
 			*f(v) = x
 			return err
 		},
@@ -70,18 +77,7 @@ func Float[T any](key string, f func(*T) *float64) Field[T] {
 
 // Millis declares a duration field stated in milliseconds.
 func Millis[T any](key string, f func(*T) *units.Millis) Field[T] {
-	return Field[T]{
-		Key: key,
-		set: func(v *T, s string) error {
-			x, err := strconv.ParseFloat(s, 64)
-			*f(v) = units.Millis(x)
-			return err
-		},
-		get: func(v *T) (string, bool) {
-			m := *f(v)
-			return strconv.FormatFloat(float64(m), 'g', -1, 64), m > 0 || m < 0
-		},
-	}
+	return Float(key, func(v *T) *float64 { return (*float64)(f(v)) })
 }
 
 // Parser parses and renders one spec grammar.
@@ -124,6 +120,18 @@ func (p *Parser[T]) Parse(s string) (T, error) {
 		}
 	}
 	return v, nil
+}
+
+// AppendTo returns a flag.Func handler for a repeatable spec flag: each
+// occurrence is parsed and appended to *dst.
+func (p *Parser[T]) AppendTo(dst *[]T) func(string) error {
+	return func(s string) error {
+		v, err := p.Parse(s)
+		if err == nil {
+			*dst = append(*dst, v)
+		}
+		return err
+	}
 }
 
 // String renders a spec value back into the flag syntax, omitting
